@@ -20,9 +20,7 @@ from repro.runtime.bucket import GradientBucket
 from repro.runtime.collectives import (
     _reference_ring_all_reduce,
     _reference_two_phase_all_reduce,
-    ring_all_reduce,
     ring_all_reduce_stacked,
-    two_phase_all_reduce,
     two_phase_all_reduce_stacked,
 )
 
@@ -87,9 +85,9 @@ def _annotate(benchmark, devices, payload):
 
 def test_ring_all_reduce_f32(benchmark, ring_inputs):
     _annotate(benchmark, DEVICES, SIZE)
-    out = benchmark(ring_all_reduce, ring_inputs, "f32")
+    out = benchmark(ring_all_reduce_stacked, np.stack(ring_inputs), "f32")
     truth = np.sum(ring_inputs, axis=0, dtype=np.float64)
-    assert np.allclose(out[0], truth, rtol=1e-4, atol=1e-3)
+    assert np.allclose(out.device_view(0), truth, rtol=1e-4, atol=1e-3)
 
 
 def test_ring_all_reduce_f32_reference(benchmark, ring_inputs):
@@ -101,9 +99,9 @@ def test_ring_all_reduce_f32_reference(benchmark, ring_inputs):
 
 def test_ring_all_reduce_bf16(benchmark, ring_inputs):
     _annotate(benchmark, DEVICES, SIZE)
-    out = benchmark(ring_all_reduce, ring_inputs, "bf16")
+    out = benchmark(ring_all_reduce_stacked, np.stack(ring_inputs), "bf16")
     truth = np.sum(ring_inputs, axis=0, dtype=np.float64)
-    assert np.allclose(out[0], truth, rtol=0.2, atol=0.5)
+    assert np.allclose(out.device_view(0), truth, rtol=0.2, atol=0.5)
 
 
 def test_ring_all_reduce_bf16_reference(benchmark, ring_inputs):
@@ -115,10 +113,11 @@ def test_ring_all_reduce_bf16_reference(benchmark, ring_inputs):
 
 def test_two_phase_all_reduce(benchmark, grid_inputs):
     _annotate(benchmark, DEVICES, SIZE)
-    out = benchmark(two_phase_all_reduce, grid_inputs, "f32")
+    block = np.stack([g for col in grid_inputs for g in col])
+    out = benchmark(two_phase_all_reduce_stacked, block, (4, 4), "f32")
     truth = np.sum([g for col in grid_inputs for g in col], axis=0,
                    dtype=np.float64)
-    assert np.allclose(out[0][0], truth, rtol=1e-4, atol=1e-3)
+    assert np.allclose(out.device_view(0), truth, rtol=1e-4, atol=1e-3)
 
 
 def test_two_phase_all_reduce_reference(benchmark, grid_inputs):
@@ -189,6 +188,14 @@ def test_bucketed_all_reduce(benchmark, bucket_trees):
     """One fused collective for a whole parameter tree (the trainer path)."""
     bucket = GradientBucket(bucket_trees[0])
     _annotate(benchmark, DEVICES, bucket.size)
-    out = benchmark(bucket.all_reduce, bucket_trees, "f32")
+
+    def all_reduce(trees, dtype_policy):
+        block = np.empty((len(trees), bucket.size), dtype=bucket.dtype)
+        for d, tree in enumerate(trees):
+            bucket.flatten(tree, out=block[d])
+        out = bucket.all_reduce_stacked(block, dtype_policy)
+        return bucket.unflatten(out.device_view(0))
+
+    out = benchmark(all_reduce, bucket_trees, "f32")
     truth = np.sum([t["b0"] for t in bucket_trees], axis=0, dtype=np.float64)
-    assert np.allclose(out[0]["b0"], truth, rtol=1e-4, atol=1e-3)
+    assert np.allclose(out["b0"], truth, rtol=1e-4, atol=1e-3)

@@ -46,11 +46,7 @@ from repro.core.data_parallel import (
     SingleDeviceTrainer,
     DataParallelTrainer,
 )
-from repro.core.weight_update_sharding import (
-    shard_states,
-    sharded_update,
-    WeightUpdateShardedTrainer,
-)
+from repro.core.weight_update_sharding import WeightUpdateShardedTrainer
 from repro.core.model_parallel import (
     FeatureShardedMLP,
     HybridParallelTrainer,
@@ -84,8 +80,6 @@ __all__ = [
     "simulate_overlap_schedule",
     "SingleDeviceTrainer",
     "DataParallelTrainer",
-    "shard_states",
-    "sharded_update",
     "WeightUpdateShardedTrainer",
     "FeatureShardedMLP",
     "HybridParallelTrainer",

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.runtime.collectives import ring_all_reduce
+from repro.runtime.collectives import ring_all_reduce_stacked
 
 
 @dataclass(frozen=True)
@@ -84,9 +84,9 @@ def distributed_batch_norm(
             ])
             for i in group
         ]
-        reduced = ring_all_reduce(moments, "f64")
+        reduced = ring_all_reduce_stacked(moments, "f64")
         for idx, i in enumerate(group):
-            total = reduced[idx]
+            total = reduced.device_view(idx)
             s, ss, count = total[:feat], total[feat:2 * feat], total[-1]
             mean = s / count
             var = ss / count - mean**2

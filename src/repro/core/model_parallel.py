@@ -33,7 +33,7 @@ from repro.models.layers import (
 )
 from repro.models.mlp import MLP
 from repro.optim.base import Optimizer, Params
-from repro.runtime.collectives import ring_all_reduce
+from repro.runtime.collectives import ring_all_reduce_stacked
 
 
 class FeatureShardedMLP:
@@ -128,7 +128,10 @@ class FeatureShardedMLP:
             entry["z1"], entry["a1"] = z1, a1
             partials = [a1[k] @ shards[k][f"w{layer + 1}"] for k in range(m)]
             # Forward all-reduce over the model group (black ring).
-            z2 = ring_all_reduce(partials, dtype_policy)[0] + shards[0][f"b{layer + 1}"]
+            z2 = (
+                ring_all_reduce_stacked(partials, dtype_policy).device_view(0)
+                + shards[0][f"b{layer + 1}"]
+            )
             entry["z2"] = z2
             is_last = layer + 1 == self.num_layers - 1
             h = z2 if is_last else relu(z2)
@@ -181,7 +184,7 @@ class FeatureShardedMLP:
                 grads[k][f"b{l1}"] = db1_k
                 dh_partials.append(dz1_k @ shards[k][f"w{l1}"].T)
             # Backward all-reduce over the model group.
-            dy = ring_all_reduce(dh_partials, dtype_policy)[0]
+            dy = ring_all_reduce_stacked(dh_partials, dtype_policy).device_view(0)
         return loss, grads
 
 
@@ -261,7 +264,9 @@ class HybridParallelTrainer:
         for k in range(self.mp_size):
             for name in replica_grads[0][k]:
                 contribs = [replica_grads[d][k][name] / dp for d in range(dp)]
-                reduced[k][name] = ring_all_reduce(contribs, self.grad_dtype_policy)[0]
+                reduced[k][name] = ring_all_reduce_stacked(
+                    contribs, self.grad_dtype_policy
+                ).device_view(0)
                 bytes_moved += float(reduced[k][name].nbytes)
         t_comm = _perf()
         self._sharded_optimizer_step(reduced)

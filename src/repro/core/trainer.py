@@ -129,7 +129,6 @@ class TrainerConfig:
     grad_dtype_policy: str = "f64"
     num_buckets: int = 1
     overlap: bool = False
-    fused: bool = True
     mp_size: int = 1
     guard: Any = None
     seed: int | None = None
@@ -155,8 +154,6 @@ class TrainerConfig:
                 "bucketed overlap is only supported by the 'data_parallel' "
                 "and 'wus' strategies"
             )
-        if self.strategy == "wus" and not self.fused and self.num_buckets > 1:
-            raise ValueError("unfused WUS does not support multiple buckets")
 
     @property
     def num_replicas(self) -> int:
@@ -196,7 +193,6 @@ def make_trainer(config: TrainerConfig) -> Trainer:
                 config.optimizer,
                 num_replicas=config.num_replicas,
                 grad_dtype_policy=config.grad_dtype_policy,
-                fused=config.fused,
                 num_buckets=config.num_buckets,
                 overlap=config.overlap,
             )

@@ -14,9 +14,12 @@ replaces it with:
 Optimizer slot variables (momenta) only ever exist in sharded form, which
 also divides their HBM footprint by the replica count.
 
-The functions here execute this on real numpy buffers; the equivalence
-tests check that WUS training matches replicated-update training exactly
-(same collective ordering, float64).
+There is one execution path, over fused gradient buckets: each bucket's
+gradients travel in one reduce-scatter and its updated weights in one
+all-gather (:func:`bucketed_sharded_update`), with optimizer slots sharded
+along the same fused windows (:func:`shard_state_segments`).  The
+equivalence tests check that WUS training matches replicated-update
+training exactly (same collective ordering, float64).
 """
 
 from __future__ import annotations
@@ -32,7 +35,6 @@ from repro.resilience.checkpoint import (
     TrainerCheckpoint,
     record_checkpoint_metrics,
     unshard_state_segments,
-    unshard_states,
 )
 from repro.runtime.bucket import BucketPlan, GradientBucket
 from repro.runtime.collectives import (
@@ -46,107 +48,6 @@ from repro.core.data_parallel import (
     _copy_params,
     _copy_state,
 )
-
-
-def _chunk(flat: np.ndarray, num_devices: int) -> list[np.ndarray]:
-    """Split a flattened array into device chunks (zero-padded)."""
-    size = flat.size
-    padded = ((size + num_devices - 1) // num_devices) * num_devices
-    if padded != size:
-        flat = np.concatenate([flat, np.zeros(padded - size, dtype=flat.dtype)])
-    return np.split(flat, num_devices)
-
-
-def shard_states(
-    state: OptimizerState, num_devices: int
-) -> list[OptimizerState]:
-    """Split every optimizer slot into per-device shards.
-
-    Returns one state dict per device; device ``d`` holds chunk ``d`` of
-    each flattened slot (matching the reduce-scatter chunk assignment).
-    """
-    if num_devices < 1:
-        raise ValueError("num_devices must be >= 1")
-    per_device: list[OptimizerState] = [dict() for _ in range(num_devices)]
-    for name, slots in state.items():
-        chunked = {
-            slot: _chunk(arr.reshape(-1), num_devices) for slot, arr in slots.items()
-        }
-        for d in range(num_devices):
-            per_device[d][name] = {slot: chunked[slot][d] for slot in chunked}
-    return per_device
-
-
-def sharded_update(
-    params: Params,
-    per_device_grads: list[dict[str, np.ndarray]],
-    optimizer: Optimizer,
-    sharded_state: list[OptimizerState],
-    step: int,
-    dtype_policy: str = "f64",
-) -> tuple[Params, list[OptimizerState]]:
-    """One weight-update-sharded optimizer step.
-
-    ``params`` are the (replicated) weights; ``per_device_grads[d]`` the raw
-    gradients computed by replica ``d`` (already scaled so their *sum* is
-    the desired global gradient); ``sharded_state[d]`` each device's slot
-    shards.  Returns the new replicated params and new sharded states.
-    """
-    n = len(per_device_grads)
-    if n < 1:
-        raise ValueError("need at least one device")
-    if len(sharded_state) != n:
-        raise ValueError("sharded_state must have one entry per device")
-    new_params: Params = {}
-    new_states: list[OptimizerState] = [dict() for _ in range(n)]
-    for name, param in params.items():
-        flat_param_chunks = _chunk(param.reshape(-1).astype(np.float64), n)
-        # 1. reduce-scatter the gradient: device d ends with summed chunk d.
-        sharded = ring_reduce_scatter(
-            [g[name] for g in per_device_grads], dtype_policy
-        )
-        grad_shards = sharded.shards
-        # 2a. shard-local partial norms + scalar all-reduce (a plain sum —
-        #     the payload is a handful of floats per layer).
-        partials = [
-            optimizer.norm_stats(
-                name,
-                flat_param_chunks[d],
-                grad_shards[d].astype(np.float64),
-                sharded_state[d][name],
-                step,
-            )
-            for d in range(n)
-        ]
-        stats: dict[str, float] = {}
-        for partial in partials:
-            for key, value in partial.items():
-                stats[key] = stats.get(key, 0.0) + value
-        # 2b. shard-local elementwise update.
-        new_chunks = []
-        for d in range(n):
-            new_chunk, new_slot = optimizer.apply(
-                name,
-                flat_param_chunks[d],
-                grad_shards[d].astype(np.float64),
-                sharded_state[d][name],
-                step,
-                stats,
-            )
-            new_chunks.append(np.asarray(new_chunk, dtype=np.float64))
-            new_states[d][name] = new_slot
-        # 3. all-gather the updated weight shards; the result is lazily
-        #    replicated (one physical buffer) and the cast below copies it
-        #    into the independently owned replica the trainer keeps.
-        gathered = ring_all_gather_stacked(
-            ShardedValue(
-                shards=new_chunks,
-                shape=param.shape,
-                padded_size=sum(c.size for c in new_chunks),
-            )
-        )
-        new_params[name] = gathered.device_view(0).astype(param.dtype)
-    return new_params, new_states
 
 
 def shard_state_segments(
@@ -180,16 +81,22 @@ def bucketed_sharded_update(
     bucket: GradientBucket,
     dtype_policy: str = "f64",
 ) -> tuple[Params, list[OptimizerState]]:
-    """One weight-update-sharded step with *fused* gradient buckets.
+    """One weight-update-sharded optimizer step over a fused gradient bucket.
 
-    Same math as :func:`sharded_update` but the whole model travels in a
-    single pair of collectives: every device's gradients are flattened into
-    one bucket buffer, ONE reduce-scatter leaves each device a contiguous
-    window of the fused buffer (generally spanning several parameters), the
-    per-layer trust-ratio norms are accumulated per *segment*, and ONE
-    all-gather broadcasts the updated fused weights.  ``sharded_state`` must
-    come from :func:`shard_state_segments` with the same bucket; the bucket
-    should be float64 so the update math matches the unfused path.
+    ``params`` are the (replicated) weights; ``per_device_grads[d]`` the raw
+    gradients computed by replica ``d`` (already scaled so their *sum* is
+    the desired global gradient); ``sharded_state[d]`` each device's slot
+    segments from :func:`shard_state_segments` with the same bucket.
+    Returns the new replicated params (the bucket's names only) and the new
+    sharded states.
+
+    The bucket's tensors travel in a single pair of collectives: every
+    device's gradients are flattened into one bucket buffer, ONE
+    reduce-scatter leaves each device a contiguous window of the fused
+    buffer (generally spanning several parameters), the per-layer
+    trust-ratio norms are accumulated per *segment* across devices, and ONE
+    all-gather broadcasts the updated fused weights.  The bucket should be
+    float64 so the update math matches the replicated optimizer exactly.
     """
     n = len(per_device_grads)
     if n < 1:
@@ -207,8 +114,8 @@ def bucketed_sharded_update(
     grad_shards = sharded.shards
     windows = bucket.shard_segments(n)
     with _telemetry.tracer.span("sharded_update", category="update"):
-        # 2a. per-segment partial norms, summed per layer across devices (the
-        #     tiny scalar all-reduce of the unfused path, now over segments).
+        # 2a. per-segment partial norms, summed per layer across devices (a
+        #     tiny scalar all-reduce — a handful of floats per layer).
         stats: dict[str, dict[str, float]] = {name: {} for name in bucket.names}
         for d in range(n):
             for seg in windows[d]:
@@ -262,13 +169,13 @@ class WeightUpdateShardedTrainer(DataParallelTrainer):
     is purely in how the update executes — which is the paper's point: WUS
     is a systems optimization that must not change the math.
 
-    ``fused=True`` (the default) runs the bucketed variant: one
-    reduce-scatter + one all-gather for the whole model instead of one pair
-    per parameter, with optimizer slots sharded along the fused layout.
+    The update runs over fused gradient buckets: one reduce-scatter + one
+    all-gather per bucket instead of one pair per parameter, with optimizer
+    slots sharded along the fused layout (:func:`bucketed_sharded_update`).
 
-    ``num_buckets > 1`` (fused only) splits the model into backprop-ordered
-    buckets, each with its own reduce-scatter -> sharded update ->
-    all-gather pipeline stage; ``overlap=True`` models those stages
+    ``num_buckets > 1`` splits the model into backprop-ordered buckets,
+    each with its own reduce-scatter -> sharded update -> all-gather
+    pipeline stage; ``overlap=True`` models those stages
     launching behind the backward pass.  As in
     :class:`~repro.core.data_parallel.DataParallelTrainer`, overlap mode
     changes only the modeled timeline, never the arithmetic.
@@ -280,30 +187,22 @@ class WeightUpdateShardedTrainer(DataParallelTrainer):
         optimizer: Optimizer,
         num_replicas: int,
         grad_dtype_policy: str = "f64",
-        fused: bool = True,
         num_buckets: int = 1,
         overlap: bool = False,
     ) -> None:
-        if not fused and num_buckets > 1:
-            raise ValueError("unfused WUS does not support multiple buckets")
         super().__init__(
             model, optimizer, dp_x=num_replicas, dp_y=1,
             grad_dtype_policy=grad_dtype_policy,
             num_buckets=num_buckets, overlap=overlap,
         )
         _warn_direct_construction(self, WeightUpdateShardedTrainer)
-        self.fused = fused
         self.sharded_state: list[OptimizerState] | None = None
         self._bucket_states: list[list[OptimizerState]] | None = None
 
     def init(self, rng: np.random.Generator) -> None:
         super().init(rng)
         assert self.state is not None
-        if self.fused:
-            self._init_fused_shards(self.state)
-        else:
-            self.sharded_state = shard_states(self.state, self.num_replicas)
-            self._bucket_states = None
+        self._init_fused_shards(self.state)
         self.state = None  # slots only exist sharded from here on
 
     def _init_fused_shards(self, full_state: OptimizerState) -> None:
@@ -317,15 +216,13 @@ class WeightUpdateShardedTrainer(DataParallelTrainer):
             shard_state_segments(full_state, bucket, self.num_replicas)
             for bucket in self._plan.buckets
         ]
-        # Back-compat alias: with one bucket this is the old fused layout.
+        # Back-compat alias: the single bucket's per-device slot segments.
         self.sharded_state = (
             self._bucket_states[0] if self._plan.num_buckets == 1 else None
         )
 
     def step(self, x: np.ndarray, labels: np.ndarray) -> StepResult:
-        if self.params is None or (
-            self.sharded_state is None and self._bucket_states is None
-        ):
+        if self.params is None or self._bucket_states is None:
             raise RuntimeError("call init() before step()")
         t0 = _perf()
         tracer = _telemetry.tracer
@@ -347,43 +244,26 @@ class WeightUpdateShardedTrainer(DataParallelTrainer):
             # comm and update phases emit their own nested spans.
             launches: list[tuple[float, float]] = []
             with tracer.span("wus_update", category="update", actor="trainer"):
-                if self.fused:
-                    assert self._plan is not None
-                    assert self._bucket_states is not None
-                    for i, bucket in enumerate(self._plan.buckets):
-                        b0 = _perf()
-                        # flatten() only reads the bucket's own names, so the
-                        # full trees pass through unchanged.
-                        new_params, self._bucket_states[i] = bucketed_sharded_update(
-                            self.params,
-                            grads,
-                            self.optimizer,
-                            self._bucket_states[i],
-                            self.step_index,
-                            bucket,
-                            self.grad_dtype_policy,
-                        )
-                        self.params = {**self.params, **new_params}
-                        launches.append(
-                            (bucket.size * bucket.dtype.itemsize, _perf() - b0)
-                        )
-                    if self._plan.num_buckets == 1:
-                        self.sharded_state = self._bucket_states[0]
-                else:
-                    assert self.sharded_state is not None
+                assert self._plan is not None
+                for i, bucket in enumerate(self._plan.buckets):
                     b0 = _perf()
-                    self.params, self.sharded_state = sharded_update(
+                    # flatten() only reads the bucket's own names, so the
+                    # full trees pass through unchanged.
+                    new_params, self._bucket_states[i] = bucketed_sharded_update(
                         self.params,
                         grads,
                         self.optimizer,
-                        self.sharded_state,
+                        self._bucket_states[i],
                         self.step_index,
+                        bucket,
                         self.grad_dtype_policy,
                     )
-                    payload = sum(
-                        np.asarray(p).size * 8.0 for p in self.params.values()
+                    self.params = {**self.params, **new_params}
+                    launches.append(
+                        (bucket.size * bucket.dtype.itemsize, _perf() - b0)
                     )
-                    launches.append((payload, _perf() - b0))
+                if self._plan.num_buckets == 1:
+                    self.sharded_state = self._bucket_states[0]
             t_update = _perf()
             self._last_launches = launches
             if self.overlap:
@@ -416,21 +296,14 @@ class WeightUpdateShardedTrainer(DataParallelTrainer):
         data movement — no arithmetic — so a same-shape round trip is
         bit-exact.
         """
-        if self.params is None or (
-            self.sharded_state is None and self._bucket_states is None
-        ):
+        if self.params is None or self._bucket_states is None:
             raise RuntimeError("call init() before save_checkpoint()")
-        if self.fused:
-            assert self._plan is not None
-            assert self._bucket_states is not None
-            merged: OptimizerState = {}
-            for bucket, states in zip(self._plan.buckets, self._bucket_states):
-                merged.update(unshard_state_segments(states, bucket))
-            # Buckets cover the tree in reverse order; restore template order.
-            full = {name: merged[name] for name in self.params}
-        else:
-            assert self.sharded_state is not None
-            full = unshard_states(self.sharded_state, self.params)
+        assert self._plan is not None
+        merged: OptimizerState = {}
+        for bucket, states in zip(self._plan.buckets, self._bucket_states):
+            merged.update(unshard_state_segments(states, bucket))
+        # Buckets cover the tree in reverse order; restore template order.
+        full = {name: merged[name] for name in self.params}
         ckpt = TrainerCheckpoint(
             step_index=self.step_index,
             params=_copy_params(self.params),
@@ -444,7 +317,7 @@ class WeightUpdateShardedTrainer(DataParallelTrainer):
         """Restore by **resharding** the full state onto this trainer's mesh.
 
         GSPMD-style resharding in miniature: the checkpoint holds assembled
-        tensors; the restore re-runs the same segment/chunk sharding that
+        tensors; the restore re-runs the same segment sharding that
         ``init`` performs, but over the checkpointed values and this
         trainer's (possibly different) ``num_replicas``.  A checkpoint
         taken on n devices therefore restores onto the n-1 survivors — or
@@ -452,14 +325,7 @@ class WeightUpdateShardedTrainer(DataParallelTrainer):
         """
         self.params = _copy_params(ckpt.params)
         self.step_index = ckpt.step_index
-        full = _copy_state(ckpt.opt_state)
-        if self.fused:
-            self._init_fused_shards(full)
-        else:
-            self._bucket = None
-            self._plan = None
-            self._bucket_states = None
-            self.sharded_state = shard_states(full, self.num_replicas)
+        self._init_fused_shards(_copy_state(ckpt.opt_state))
         self._last_launches = []
         self.last_overlap = None
         self.state = None  # slots only exist sharded, as after init()

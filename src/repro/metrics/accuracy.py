@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.runtime.collectives import ring_all_reduce
+from repro.runtime.collectives import ring_all_reduce_stacked
 
 
 def pad_eval_dataset(
@@ -59,7 +59,7 @@ def distributed_top1_accuracy(
 ) -> float:
     """JAX-style: all-reduce (correct, valid) counts across devices."""
     counts = _shard_counts(predictions, labels, masks)
-    reduced = ring_all_reduce(counts, "f64")[0]
+    reduced = ring_all_reduce_stacked(counts, "f64").device_view(0)
     if reduced[1] == 0:
         raise ValueError("no valid eval examples")
     return float(reduced[0] / reduced[1])

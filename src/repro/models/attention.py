@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.models.layers import softmax
-from repro.runtime.collectives import ring_all_reduce
+from repro.runtime.collectives import ring_all_reduce_stacked
 
 
 @dataclass
@@ -173,7 +173,7 @@ class HeadShardedAttention:
         for shard in self.shards:
             out, _ = attention_forward(shard, x)
             partials.append(out)
-        return ring_all_reduce(partials, dtype_policy)[0]
+        return ring_all_reduce_stacked(partials, dtype_policy).device_view(0)
 
     def forward_backward(
         self, x: np.ndarray, dout: np.ndarray, dtype_policy: str = "f64"
@@ -191,7 +191,7 @@ class HeadShardedAttention:
             dx_i, g_i = attention_backward(shard, cache, dout)
             dxs.append(dx_i)
             grads.append(g_i)
-        dx = ring_all_reduce(dxs, dtype_policy)[0]
+        dx = ring_all_reduce_stacked(dxs, dtype_policy).device_view(0)
         return dx, grads
 
     def gather_grads(self, grads: list[AttentionParams]) -> AttentionParams:

@@ -1,10 +1,15 @@
 """Functional execution of collectives and parallel training on numpy.
 
 Everything in this subpackage *actually runs* the paper's distributed
-algorithms at laptop scale: each "device" is a numpy buffer, and the
-collective routines move chunks between devices step by step exactly as the
-ring schedules do on hardware.  Tests compare the results against plain
-``np.sum`` ground truth, which is the correctness backbone for the
+algorithms at laptop scale: each "device" is a row of one device-major
+numpy block, and the collective routines move chunks between devices step
+by step exactly as the ring schedules do on hardware.  There is one
+collective path: ``ring_reduce_scatter``, ``ring_all_gather_stacked``,
+``ring_all_reduce_stacked`` and ``two_phase_all_reduce_stacked`` take a
+device-major block (or :class:`StackedValue`, or a per-device sequence)
+and return a :class:`ShardedValue` or a replicated :class:`StackedValue`.
+Tests compare the results bit-for-bit against the per-device-loop
+``_reference_*`` schedules, which is the correctness backbone for the
 data-parallel / model-parallel / weight-update-sharding trainers in
 :mod:`repro.core`.
 """
@@ -13,14 +18,9 @@ from repro.runtime.collectives import (
     ShardedValue,
     padded_chunk_layout,
     ring_reduce_scatter,
-    ring_all_gather,
     ring_all_gather_stacked,
-    ring_all_reduce,
     ring_all_reduce_stacked,
-    two_phase_all_reduce,
     two_phase_all_reduce_stacked,
-    reduce_scatter_grid,
-    all_gather_grid,
 )
 from repro.runtime.bucket import BucketSegment, GradientBucket
 from repro.runtime.mesh import VirtualMesh
@@ -31,14 +31,9 @@ __all__ = [
     "StackedValue",
     "padded_chunk_layout",
     "ring_reduce_scatter",
-    "ring_all_gather",
     "ring_all_gather_stacked",
-    "ring_all_reduce",
     "ring_all_reduce_stacked",
-    "two_phase_all_reduce",
     "two_phase_all_reduce_stacked",
-    "reduce_scatter_grid",
-    "all_gather_grid",
     "BucketSegment",
     "GradientBucket",
     "VirtualMesh",

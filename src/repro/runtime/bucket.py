@@ -9,8 +9,9 @@ provides that abstraction for the functional layer:
 * :class:`GradientBucket` records the offset map of a named parameter tree
   (name -> slice of one flat buffer) and converts trees to/from fused flat
   buffers — ``unflatten`` returns zero-copy reshaped views;
-* :meth:`GradientBucket.all_reduce` runs a *single* ring or 2-D
-  hierarchical collective over the fused per-device buffers;
+* :meth:`GradientBucket.all_reduce_stacked` runs a *single* ring or 2-D
+  hierarchical collective over the ``(n, size)`` device-major block of
+  fused per-device buffers and returns one replicated result;
 * :meth:`GradientBucket.segments` maps a device's reduce-scatter shard back
   to the per-parameter segments it covers — what the sharded optimizer
   update needs to apply per-layer math (trust ratios, weight decay
@@ -25,16 +26,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from time import perf_counter as _perf
-from typing import Mapping, Sequence
+from typing import Mapping
 
 import numpy as np
 
 from repro import telemetry as _telemetry
 from repro.runtime.collectives import (
     padded_chunk_layout,
-    ring_all_reduce,
     ring_all_reduce_stacked,
-    two_phase_all_reduce,
     two_phase_all_reduce_stacked,
 )
 from repro.runtime.stacked import StackedValue
@@ -174,51 +173,7 @@ class GradientBucket:
             self.segments(d * chunk, (d + 1) * chunk) for d in range(num_devices)
         )
 
-    # --- fused collectives ---------------------------------------------------
-
-    def all_reduce(
-        self,
-        trees: Sequence[Mapping[str, np.ndarray]],
-        dtype_policy: str = "f32",
-        grid_shape: tuple[int, int] | None = None,
-        shard_transform=None,
-    ) -> list[dict[str, np.ndarray]]:
-        """One fused collective over per-device trees; unflattened results.
-
-        ``grid_shape=(x, y)`` with both dims > 1 selects the 2-D
-        hierarchical schedule (devices in x-major order); otherwise a flat
-        ring.  ``shard_transform`` is the fused shard hook of
-        :func:`repro.runtime.collectives.two_phase_all_reduce` and operates
-        on fused flat shards (it must be elementwise).
-        """
-        with _telemetry.tracer.span("bucket_all_reduce", category="comm"):
-            return self._all_reduce(trees, dtype_policy, grid_shape, shard_transform)
-
-    def _all_reduce(
-        self,
-        trees: Sequence[Mapping[str, np.ndarray]],
-        dtype_policy: str,
-        grid_shape: tuple[int, int] | None,
-        shard_transform,
-    ) -> list[dict[str, np.ndarray]]:
-        buffers = [self.flatten(t) for t in trees]
-        if grid_shape is not None:
-            x_size, y_size = grid_shape
-            if x_size * y_size != len(buffers):
-                raise ValueError("grid_shape does not match number of devices")
-            grid = [
-                [buffers[x * y_size + y] for y in range(y_size)]
-                for x in range(x_size)
-            ]
-            reduced = two_phase_all_reduce(
-                grid, dtype_policy, shard_transform=shard_transform
-            )
-            flat_results = [reduced[x][y] for x in range(x_size) for y in range(y_size)]
-        else:
-            if shard_transform is not None:
-                raise ValueError("shard_transform requires the hierarchical schedule")
-            flat_results = ring_all_reduce(buffers, dtype_policy)
-        return [self.unflatten(r) for r in flat_results]
+    # --- fused collective ----------------------------------------------------
 
     def all_reduce_stacked(
         self,
@@ -227,15 +182,18 @@ class GradientBucket:
         grid_shape: tuple[int, int] | None = None,
         shard_transform=None,
     ) -> StackedValue:
-        """Device-major fused collective: one stacked block in, one out.
+        """One fused collective: one stacked block in, one out.
 
         ``block`` is the ``(n, self.size)`` device-major stack of fused
-        flat buffers (x-major device order when ``grid_shape`` is given).
-        Returns the reduced fused buffer as a lazily *replicated*
-        :class:`StackedValue` — same ring arithmetic as
-        :meth:`all_reduce`, without materializing per-device result
-        copies.  Unflatten a device's view (zero-copy, read-only) with
-        :meth:`unflatten` when named tensors are needed.
+        flat buffers (pack each device's tree with ``flatten(tree,
+        out=block[d])``).  ``grid_shape=(x, y)`` selects the 2-D
+        hierarchical schedule (devices in x-major order); otherwise a flat
+        ring.  ``shard_transform`` is the fused shard hook of
+        :func:`repro.runtime.collectives.two_phase_all_reduce_stacked` and
+        operates on fused flat shards (it must be elementwise).  Returns
+        the reduced fused buffer as a lazily *replicated*
+        :class:`StackedValue`; unflatten a device's view (zero-copy,
+        read-only) with :meth:`unflatten` when named tensors are needed.
         """
         with _telemetry.tracer.span("bucket_all_reduce", category="comm"):
             n = (

@@ -13,32 +13,30 @@ The algorithms replicate the data motion of the hardware schedules:
 Reductions can run in float64/float32 or emulated bfloat16 (rounding the
 partial sum at every hop, as in-network bf16 summation does).
 
-Two implementations coexist (DESIGN.md §6):
+Every public collective is **device-major** (DESIGN.md §11): inputs
+are one stacked ``(n_devices, *shape)`` block, a
+:class:`~repro.runtime.stacked.StackedValue`, or a sequence of per-device
+arrays (packed into a block on entry), and the all-reduce/all-gather
+results are a *replicated* ``StackedValue`` — one physical result buffer
+viewed by every device — instead of ``n`` identical copies.  Callers that
+write into a result take ``.device_view(d).copy()`` or ``.materialized()``.
 
-* the **reference** kernels (``_reference_*``) execute the schedule with
-  per-device Python loops, one chunk object at a time — slow but an
-  unmistakable transcription of the hardware data motion;
-* the **vectorized** kernels (the public functions) reduce into a single
-  flat ``(padded,)`` accumulator whose chunk ``c`` is slot ``c``, sweeping
-  the devices linearly twice: each ring hop becomes one contiguous
-  prefix/suffix block addition straight off the source buffer (see
-  :func:`_linear_ring_passes`) — no staging copies, no index gathers, and
-  a cache-resident accumulator.  Because every per-element reduction
-  happens in the same ring order with the same dtype, the results are
-  **bit-identical** to the reference kernels under every dtype policy
-  (property-tested in ``tests/test_runtime_collectives.py``).
+One kernel executes every ring: :func:`_linear_ring_passes_batched`
+reduces ``B`` independent rings into a ``(B, padded)`` accumulator whose
+chunk ``c`` is slot ``c``, sweeping the devices linearly twice so each
+ring hop is one contiguous prefix/suffix block addition straight off the
+source block.  A flat ring is a batch of one; the 2-D schedule batches its
+column rings, then its row rings, so a 64x64-grid phase is
+``O(ring_steps)`` numpy operations — what lets the runtime execute 4096
+real devices.
 
-Every public collective also has a **device-major** entry point
-(DESIGN.md §12): inputs may arrive as one stacked ``(n_devices, *shape)``
-block (or :class:`~repro.runtime.stacked.StackedValue`) instead of a list
-of per-device arrays, and the ``*_stacked`` variants return a *replicated*
-``StackedValue`` — one physical result buffer lazily viewed by every
-device — instead of materializing ``n`` identical copies.  The grid
-collectives batch their independent column/row rings into single stacked
-kernel calls (:func:`_linear_ring_passes_batched`), so a 64x64-grid phase
-is ``O(ring_steps)`` numpy operations rather than ``O(x * y *
-ring_steps)`` Python iterations.  This is what pushes the runtime from
-~256 to 4096 real devices.
+The ``_reference_*`` functions execute the same schedules with
+per-device Python loops, one chunk object at a time — slow but an
+unmistakable transcription of the hardware data motion.  Because every
+per-element reduction happens in the same ring order with the same dtype,
+the kernel results are **bit-identical** to the references under every
+dtype policy (property-tested in ``tests/test_runtime_vectorized.py`` and
+``tests/test_runtime_stacked.py``).
 
 Padding metadata is cached keyed by ``(n, size)`` and quantization staging
 buffers are pooled keyed by shape/dtype — both behind *bounded* LRUs so a
@@ -203,8 +201,8 @@ class ShardedValue:
 
     ``shards[d]`` is the flattened chunk owned by device ``d``; chunk ``d``
     of the padded flat buffer lives on device ``d``.  When the shards are
-    rows of one contiguous ``(n, chunk)`` device-major allocation (the
-    vectorized kernels always produce this), ``block`` is that backing
+    rows of one contiguous ``(n, chunk)`` device-major allocation (what
+    :func:`ring_reduce_scatter` produces), ``block`` is that backing
     array and the gather/assembly paths read the reduced buffer straight
     off it with zero concatenation.
     """
@@ -239,83 +237,27 @@ def _check_same_shape(arrays: Sequence[np.ndarray]) -> tuple[int, ...]:
     return shape
 
 
-def _as_device_block(
-    arrays,
-) -> tuple[np.ndarray | None, Sequence[np.ndarray], int, tuple[int, ...]]:
-    """Normalize any device-input form to ``(block, flats, n, shape)``.
+def _as_device_block(arrays) -> tuple[np.ndarray, int, tuple[int, ...]]:
+    """Normalize any device-input form to ``(block, n, shape)``.
 
     Accepts a :class:`StackedValue`, a device-major ``(n, *shape)``
-    ndarray, or the legacy sequence of per-device arrays.  ``flats`` are
-    the per-device flat rows (zero-copy views where possible); ``block``
-    is the contiguous ``(n, flat_size)`` backing array when one exists
-    (``None`` for plain lists and for replicated values, whose logical
-    rows are broadcasts of one physical row).
+    ndarray, or a sequence of per-device arrays.  ``block`` is the
+    ``(n, flat_size)`` device-major view of the input: zero-copy for the
+    stacked forms (a replicated value broadcasts its one physical row), one
+    packing copy for a sequence.
     """
     if isinstance(arrays, StackedValue):
         n = arrays.num_devices
-        shape = tuple(arrays.shape)
         flat2 = arrays.block.reshape(arrays.block.shape[0], -1)
         if arrays.replicated:
-            return None, [flat2[0]] * n, n, shape
-        block = flat2 if flat2.flags.c_contiguous else None
-        return block, list(flat2), n, shape
+            flat2 = np.broadcast_to(flat2, (n, flat2.shape[1]))
+        return flat2, n, tuple(arrays.shape)
     if isinstance(arrays, np.ndarray) and arrays.ndim >= 2:
         n = arrays.shape[0]
-        shape = tuple(arrays.shape[1:])
-        flat2 = arrays.reshape(n, -1)
-        block = flat2 if flat2.flags.c_contiguous else None
-        return block, list(flat2), n, shape
+        return arrays.reshape(n, -1), n, tuple(arrays.shape[1:])
     shape = _check_same_shape(arrays)
-    flats = [np.asarray(a).reshape(-1) for a in arrays]
-    return None, flats, len(flats), tuple(shape)
-
-
-def _linear_ring_passes(
-    acc: np.ndarray,
-    srcs,
-    size: int,
-    chunk: int,
-    bf16_round: Callable[[np.ndarray], np.ndarray] | None = None,
-) -> np.ndarray:
-    """Ring reduce-scatter as two linear sweeps of contiguous block adds.
-
-    ``acc`` is the flat ``(padded,)`` accumulator whose chunk ``c`` is slot
-    ``c``; ``srcs[d]`` is device ``d``'s quantized flat buffer (``size``
-    elements).  Slot ``c`` must accumulate devices in the cyclic ring order
-    ``c, c+1, ..., n-1, 0, ..., c-1`` — which a linear sweep over devices
-    realizes exactly: in pass one device ``d`` *initializes* its own slot
-    (a copy, so signed zeros and NaN payloads survive bit-exactly) and is
-    added to every slot below ``d``; in pass two it is added to every slot
-    above ``d``.  Each step is therefore one contiguous prefix/suffix add
-    straight off the source buffer (operand order ``contribution + acc``,
-    matching ``reducer(chunks[dst][c], chunks[d][c])`` of the reference
-    schedule) — no staging copies, no index arrays, and the accumulator
-    stays cache-resident.  For bf16 each touched region is re-rounded
-    after its add, exactly one rounding per slot per hop.
-
-    Padding slots (``>= size``) are never written and must be pre-zeroed.
-    ``bf16_round`` is the per-hop in-place rounding function for the bf16
-    policy (:func:`_bf16_round_for` picks the NaN-checked or the faster
-    NaN-free variant per collective); ``None`` for f32/f64.
-    """
-    n = len(srcs)
-    for d in range(n):
-        lo = d * chunk
-        hi = min(lo + chunk, size)
-        if hi > lo:
-            acc[lo:hi] = srcs[d][lo:hi]
-        end = min(lo, size)
-        if end > 0:
-            np.add(srcs[d][:end], acc[:end], out=acc[:end])
-            if bf16_round is not None:
-                bf16_round(acc[:end])
-    for d in range(n - 1):
-        start = min((d + 1) * chunk, size)
-        if start < size:
-            np.add(srcs[d][start:size], acc[start:size], out=acc[start:size])
-            if bf16_round is not None:
-                bf16_round(acc[start:size])
-    return acc
+    block = np.stack([np.asarray(a).reshape(-1) for a in arrays])
+    return block, len(arrays), tuple(shape)
 
 
 def _linear_ring_passes_batched(
@@ -325,20 +267,34 @@ def _linear_ring_passes_batched(
     chunk: int,
     bf16_round: Callable[[np.ndarray], np.ndarray] | None = None,
 ) -> np.ndarray:
-    """``B`` independent ring reduce-scatters as one batched kernel.
+    """``B`` independent ring reduce-scatters as two linear sweeps.
 
     ``acc2`` is ``(B, padded)`` — row ``b`` is the flat accumulator of ring
-    ``b`` — and ``srcs3`` is ``(B, n, size)``: ``srcs3[b, d]`` is ring
-    ``b``'s device ``d`` (any strided view works, e.g. the transposed Y
-    accumulators feeding the X phase of the 2-D schedule).  Each batch row
-    executes the *identical* operation sequence of
-    :func:`_linear_ring_passes` — the rings are data-independent and every
-    add/round is elementwise, so batching them into 2-D operations is
-    bit-exact — but a grid phase costs ``O(ring_steps)`` numpy calls
-    instead of ``O(B * ring_steps)``, which is what makes 64x64-grid
-    (4096-device) collectives executable.
+    ``b``, whose chunk ``c`` is slot ``c`` — and ``srcs3`` is ``(B, n,
+    size)``: ``srcs3[b, d]`` is ring ``b``'s device ``d`` in the policy's
+    wire format (any strided view works, e.g. the transposed Y
+    accumulators feeding the X phase of the 2-D schedule).  A flat ring is
+    a batch of one.
+
+    Slot ``c`` must accumulate devices in the cyclic ring order ``c, c+1,
+    ..., n-1, 0, ..., c-1`` — which a linear sweep over devices realizes
+    exactly: in pass one device ``d`` *initializes* its own slot (a copy,
+    so signed zeros and NaN payloads survive bit-exactly) and is added to
+    every slot below ``d``; in pass two it is added to every slot above
+    ``d``.  Each step is therefore one contiguous prefix/suffix add straight
+    off the source block (operand order ``contribution + acc``, matching
+    ``reducer(chunks[dst][c], chunks[d][c])`` of the reference schedule) —
+    no staging copies and no index arrays.  For bf16 each touched region is
+    re-rounded after its add, exactly one rounding per slot per hop.  The
+    rings are data-independent and every add/round is elementwise, so
+    each batch row is bit-identical to the scalar
+    :func:`_reference_linear_ring_passes`, but a grid phase costs
+    ``O(ring_steps)`` numpy calls instead of ``O(B * ring_steps)``.
 
     Padding columns (``>= size``) are never written and must be pre-zeroed.
+    ``bf16_round`` is the per-hop in-place rounding function for the bf16
+    policy (:func:`_bf16_round_for` picks the NaN-checked or the faster
+    NaN-free variant per collective); ``None`` for f32/f64.
     """
     n = srcs3.shape[1]
     for d in range(n):
@@ -376,67 +332,53 @@ def _bf16_round_for(staged: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
     return _round_inplace_nonan if finite.all() else _round_checked
 
 
+#: Elements per bf16 staging pass: the rounding temporaries of one pass
+#: stay cache-sized, yet a 4096-row stack of short rows takes a handful of
+#: passes rather than one per row.
+_BF16_STAGE_ELEMS = 1 << 16
+
+
 def _quantized_sources(
-    flats, dtype: np.dtype, policy: str, block: np.ndarray | None = None
-) -> tuple[Sequence[np.ndarray] | np.ndarray, Callable | None]:
-    """Per-device flat buffers in the policy's wire format.
+    block: np.ndarray, dtype: np.dtype, policy: str
+) -> tuple[np.ndarray, Callable | None]:
+    """The ``(n, size)`` device block in the policy's wire format.
 
-    Returns ``(srcs, bf16_round)``.  Buffers already in the wire dtype are
-    used as-is (zero copies — the hot path); otherwise the stack is staged
-    once through a pooled scratch block.  For bf16 each row gets a fused
-    copy+round (bias temporaries stay cache-sized) plus a finiteness check
-    while the row is still cache-hot, which selects the per-hop rounding
-    variant (see :func:`_bf16_round_for`); ``bf16_round`` is ``None`` for
-    the other policies.
-
-    When ``block`` is the contiguous ``(n, size)`` backing array of
-    ``flats`` (the device-major fast path), staging and rounding run as
-    single whole-block operations instead of per-row loops — elementwise
-    identical, but ``O(1)`` dispatches for a 4096-row stack.
+    Returns ``(srcs, bf16_round)``.  A block already in the wire dtype is
+    used as-is (zero copies — the hot path); otherwise it is staged once
+    through a pooled scratch block.  For bf16 the staging is a fused
+    copy+round over row groups of about :data:`_BF16_STAGE_ELEMS`
+    elements, each followed by a finiteness check while it is still
+    cache-hot; the check selects the per-hop rounding variant (see
+    :func:`_bf16_round_for`).  ``bf16_round`` is ``None`` for the other
+    policies.
     """
     if policy != "bf16":
-        if all(f.dtype == dtype for f in flats):
-            return flats, None
-        staged = _scratch((len(flats), flats[0].size), dtype)
-        if block is not None:
-            staged[...] = block
-        else:
-            for d, f in enumerate(flats):
-                staged[d] = f
+        if block.dtype == dtype:
+            return block, None
+        staged = _scratch(block.shape, dtype)
+        staged[...] = block
         return staged, None
-    staged = _scratch((len(flats), flats[0].size), dtype)
-    if block is not None:
-        round_to_bfloat16(block, out=staged)
-        finite = bool(
-            np.isfinite(staged, out=_scratch(staged.shape, np.dtype(np.bool_))).all()
-        )
-        return staged, (_round_inplace_nonan if finite else _round_checked)
-    row_ok = _scratch((flats[0].size,), np.dtype(np.bool_))
+    staged = _scratch(block.shape, dtype)
+    rows = max(1, _BF16_STAGE_ELEMS // max(block.shape[1], 1))
     finite = True
-    for d, f in enumerate(flats):
-        round_to_bfloat16(f, out=staged[d])
-        if finite:
-            finite = bool(np.isfinite(staged[d], out=row_ok).all())
+    for lo in range(0, block.shape[0], rows):
+        part = round_to_bfloat16(block[lo:lo + rows], out=staged[lo:lo + rows])
+        finite = finite and bool(np.isfinite(part).all())
     return staged, (_round_inplace_nonan if finite else _round_checked)
 
 
 def _ring_reduce_scatter_impl(
     arrays, dtype_policy: str
 ) -> tuple[np.ndarray, tuple[int, ...], int]:
-    """Shared core: returns ``(shards (n, chunk), shape, padded)``.
-
-    ``arrays`` may be a legacy per-device sequence, a device-major
-    ``(n, *shape)`` ndarray, or a :class:`StackedValue` — the contiguous
-    block forms take the whole-stack quantization fast path.
-    """
+    """Shared core: returns ``(shards (n, chunk), shape, padded)``."""
     dtype = _dtype_for(dtype_policy)
-    block, flats, n, shape = _as_device_block(arrays)
+    block, n, shape = _as_device_block(arrays)
     size = int(np.prod(shape)) if shape else 1
     padded, chunk = padded_chunk_layout(n, size)
-    srcs, bf16_round = _quantized_sources(flats, dtype, dtype_policy, block)
-    acc = np.empty(padded, dtype=dtype)
-    acc[size:] = 0
-    _linear_ring_passes(acc, srcs, size, chunk, bf16_round)
+    srcs, bf16_round = _quantized_sources(block, dtype, dtype_policy)
+    acc = np.empty((1, padded), dtype=dtype)
+    acc[:, size:] = 0
+    _linear_ring_passes_batched(acc, srcs[None], size, chunk, bf16_round)
     return acc.reshape(n, chunk), shape, padded
 
 
@@ -461,60 +403,35 @@ def ring_reduce_scatter(arrays, dtype_policy: str = "f32") -> ShardedValue:
     return ShardedValue(list(shards), shape, padded, block=shards)
 
 
-def ring_all_gather(value: ShardedValue) -> list[np.ndarray]:
+def ring_all_gather_stacked(value: ShardedValue) -> StackedValue:
     """All-gather shards back to a full buffer on every device.
 
-    The ring motion moves chunks without arithmetic, so the vectorized
-    fast path assembles the full buffer once and materializes one
-    independent copy per device — bit-identical to (and assertion-free,
-    unlike) the step-by-step :func:`_reference_ring_all_gather`.  For the
-    lazy zero-materialization variant see :func:`ring_all_gather_stacked`.
-    """
-    n = value.num_devices
-    if n == 1:
-        return [value.assemble()]
-    t0 = _perf()
-    with _telemetry.tracer.span("ring_all_gather", category="comm"):
-        size = int(np.prod(value.shape)) if value.shape else 1
-        if value.block is not None:
-            full = value.block.reshape(-1)[:size]
-        else:
-            full = np.concatenate(value.shards)[:size]
-        out = np.empty((n, size), dtype=full.dtype)
-        out[:] = full
-    if _telemetry.enabled:
-        # The gather is pure data movement; the wire dtype stands in for
-        # the policy label (bf16 shards travel as f32, matching the wire).
-        policy = {"float64": "f64", "float32": "f32"}.get(
-            full.dtype.name, full.dtype.name
-        )
-        _record_collective(
-            "all_gather", n, value.padded_size // n, full.dtype.itemsize,
-            policy, _perf() - t0,
-        )
-    return [out[d].reshape(value.shape) for d in range(n)]
+    The ring motion moves chunks without arithmetic, so the full buffer is
+    assembled once — bit-identical to the step-by-step
+    :func:`_reference_ring_all_gather` — and returned as a lazily
+    replicated :class:`StackedValue`: *one* physical buffer viewed by every
+    device instead of ``n`` materialized copies (a 256-device gather of a
+    64 Ki-element buffer would spend ~85 % of its time on the copies).
+    Callers that need per-device ownership materialize explicitly
+    (``.materialized()``).
 
-
-def ring_all_gather_stacked(value: ShardedValue) -> StackedValue:
-    """All-gather as a lazily replicated :class:`StackedValue`.
-
-    Bit-identical data motion to :func:`ring_all_gather`, but the result
-    is *one* physical buffer viewed by every device instead of ``n``
-    materialized copies — the dominant cost of the per-device gather at
-    large ``n`` (a 256-device gather of a 64 Ki-element buffer spends
-    ~85 % of its time on the copies).  Callers that need per-device
-    ownership materialize explicitly (``.materialized()``).
+    The result never aliases ``value``: list shards are concatenated into
+    fresh memory, and a block-backed value (what
+    :func:`ring_reduce_scatter` returns) is copied off its block, so a
+    later write to ``value.shards[d]`` cannot reach the gathered buffer.
     """
     n = value.num_devices
     size = int(np.prod(value.shape)) if value.shape else 1
     t0 = _perf()
     with _telemetry.tracer.span("ring_all_gather", category="comm"):
         if value.block is not None:
-            full = value.block.reshape(-1)[:size]
+            full = value.block.reshape(-1)[:size].copy()
         else:
             full = np.concatenate(value.shards)[:size]
         result = StackedValue.replicate(full.reshape(value.shape), n)
     if _telemetry.enabled and n > 1:
+        # The gather is pure data movement; the wire dtype stands in for
+        # the policy label (bf16 shards travel as f32, matching the wire).
         policy = {"float64": "f64", "float32": "f32"}.get(
             full.dtype.name, full.dtype.name
         )
@@ -525,42 +442,16 @@ def ring_all_gather_stacked(value: ShardedValue) -> StackedValue:
     return result
 
 
-def ring_all_reduce(arrays, dtype_policy: str = "f32") -> list[np.ndarray]:
-    """Ring all-reduce = reduce-scatter + all-gather.
-
-    The reduce-scatter shards land as rows of one contiguous block in chunk
-    order, so the gather phase reads the reduced buffer straight off the
-    block — no per-shard concatenation.  ``arrays`` may be a per-device
-    sequence, a device-major block, or a :class:`StackedValue`; for the
-    zero-materialization result see :func:`ring_all_reduce_stacked`.
-    """
-    t0 = _perf()
-    with _telemetry.tracer.span("ring_all_reduce", category="comm"):
-        shards, shape, _ = _ring_reduce_scatter_impl(arrays, dtype_policy)
-        n = shards.shape[0]
-        size = int(np.prod(shape)) if shape else 1
-        full = shards.reshape(-1)[:size]
-        out = np.empty((n, size), dtype=shards.dtype)
-        out[:] = full
-    if _telemetry.enabled:
-        # Reduce-scatter + all-gather: twice the one-phase ring traffic.
-        _record_collective(
-            "all_reduce", n, 2 * shards.shape[1],
-            _dtype_for(dtype_policy).itemsize, dtype_policy, _perf() - t0,
-            steps=2 * (n - 1),
-        )
-    return [out[d].reshape(shape) for d in range(n)]
-
-
 def ring_all_reduce_stacked(arrays, dtype_policy: str = "f32") -> StackedValue:
-    """Device-major ring all-reduce returning a replicated result.
+    """Ring all-reduce = reduce-scatter + all-gather, replicated result.
 
-    The reduce phase is the exact :func:`_linear_ring_passes` sequence of
-    the list API (bit-identical under every dtype policy); the gather
-    phase returns the reduced buffer as one replicated
-    :class:`StackedValue` instead of ``n`` per-device copies.  This is the
-    hot path the trainers use: stacked gradients in, one shared reduced
-    buffer out.
+    ``arrays`` may be a per-device sequence, a device-major block, or a
+    :class:`StackedValue`.  The reduce-scatter shards land as rows of one
+    contiguous block in chunk order, so the gather phase reads the reduced
+    buffer straight off it and returns it as one replicated
+    :class:`StackedValue` — no per-shard concatenation and no per-device
+    copies.  This is the hot path the trainers use: stacked gradients in,
+    one shared reduced buffer out.
     """
     t0 = _perf()
     with _telemetry.tracer.span("ring_all_reduce", category="comm"):
@@ -570,6 +461,7 @@ def ring_all_reduce_stacked(arrays, dtype_policy: str = "f32") -> StackedValue:
         full = shards.reshape(-1)[:size]
         result = StackedValue.replicate(full.reshape(shape), n)
     if _telemetry.enabled:
+        # Reduce-scatter + all-gather: twice the one-phase ring traffic.
         _record_collective(
             "all_reduce", n, 2 * shards.shape[1],
             _dtype_for(dtype_policy).itemsize, dtype_policy, _perf() - t0,
@@ -581,44 +473,8 @@ def ring_all_reduce_stacked(arrays, dtype_policy: str = "f32") -> StackedValue:
 # --- 2-D hierarchical collective (Section 3.3) -----------------------------
 
 
-def _grid_shape(grid: Sequence[Sequence[np.ndarray]]) -> tuple[int, int]:
-    x = len(grid)
-    if x == 0:
-        raise ValueError("empty device grid")
-    y = len(grid[0])
-    for col in grid:
-        if len(col) != y:
-            raise ValueError("ragged device grid")
-    if y == 0:
-        raise ValueError("empty device grid column")
-    return x, y
-
-
-def _quantized_grid_block(
-    flats, dtype: np.dtype, policy: str, block: np.ndarray | None = None
-) -> tuple[np.ndarray, Callable | None]:
-    """Like :func:`_quantized_sources` but always yields a real 2-D block.
-
-    The batched grid kernels index sources as one ``(n, size)`` array, so
-    list inputs that are already in the wire dtype (which the plain ring
-    keeps as zero-copy views) are staged through the scratch pool here —
-    one bit-preserving copy that buys ``O(ring_steps)`` instead of
-    ``O(n * ring_steps)`` kernel dispatches.
-    """
-    srcs, bf16_round = _quantized_sources(flats, dtype, policy, block)
-    if isinstance(srcs, np.ndarray):
-        return srcs, bf16_round
-    if block is not None and block.dtype == dtype:
-        return block, bf16_round
-    staged = _scratch((len(flats), flats[0].size), dtype)
-    for d, f in enumerate(srcs):
-        staged[d] = f
-    return staged, bf16_round
-
-
 def _reduce_scatter_grid_core(
-    flats,
-    block: np.ndarray | None,
+    block: np.ndarray,
     x_size: int,
     y_size: int,
     shape: tuple[int, ...],
@@ -626,11 +482,12 @@ def _reduce_scatter_grid_core(
 ) -> tuple[np.ndarray, int, int, int]:
     """Batched phases 1+2 of the 2-D schedule.
 
-    Sources are in x-major device order (``flats[x * y_size + y]`` is mesh
-    coordinate ``(x, y)``).  Returns ``(shards3, size, y_chunk, x_chunk)``
-    where ``shards3`` is the freshly allocated ``(y_size, x_size,
-    x_chunk)`` shard block: ``shards3[y, x]`` is device (x, y)'s fully
-    reduced shard (X-chunk ``x`` of Y-chunk ``y``).
+    ``block`` is the ``(x * y, size)`` source block in x-major device order
+    (row ``x * y_size + y`` is mesh coordinate ``(x, y)``).  Returns
+    ``(shards3, size, y_chunk, x_chunk)`` where ``shards3`` is the freshly
+    allocated ``(y_size, x_size, x_chunk)`` shard block: ``shards3[y, x]``
+    is device (x, y)'s fully reduced shard (X-chunk ``x`` of Y-chunk
+    ``y``).
 
     Both ring phases run batched: the ``x_size`` independent column rings
     execute as *one* stacked kernel call
@@ -641,7 +498,7 @@ def _reduce_scatter_grid_core(
     """
     dtype = _dtype_for(dtype_policy)
     size = int(np.prod(shape)) if shape else 1
-    srcs2, bf16_round = _quantized_grid_block(flats, dtype, dtype_policy, block)
+    srcs2, bf16_round = _quantized_sources(block, dtype, dtype_policy)
     srcs3 = srcs2.reshape(x_size, y_size, size)
     # Y phase: one ring per mesh column, all columns batched.
     padded_y, y_chunk = padded_chunk_layout(y_size, size)
@@ -683,147 +540,35 @@ def _reduce_scatter_grid_core(
     return x_shards.reshape(y_size, x_size, x_chunk), size, y_chunk, x_chunk
 
 
-def reduce_scatter_grid(
-    grid: Sequence[Sequence[np.ndarray]], dtype_policy: str = "f32"
-) -> list[list[ShardedValue]]:
-    """Phase 1+2 of the 2-D schedule: Y reduce-scatter, then X reduce-scatter.
-
-    ``grid[x][y]`` is the buffer of the chip at mesh coordinate (x, y).
-    Returns per-device :class:`ShardedValue` views whose shards are the
-    per-chip gradient shards fed to the sharded weight update: device (x, y)
-    owns X-chunk ``x`` of Y-chunk ``y``.
-
-    Both ring phases run batched: the ``x_size`` independent column rings
-    (and then the ``y_size`` row rings) execute as one stacked kernel call.
-    """
-    x_size, y_size = _grid_shape(grid)
-    arrays = [np.asarray(g) for col in grid for g in col]
-    shape = _check_same_shape(arrays)
-    flats = [a.reshape(-1) for a in arrays]
-    shards3, _, _, _ = _reduce_scatter_grid_core(
-        flats, None, x_size, y_size, tuple(shape), dtype_policy
-    )
-    out: list[list[ShardedValue]] = [[None] * y_size for _ in range(x_size)]  # type: ignore[list-item]
-    for x in range(x_size):
-        for y in range(y_size):
-            shard = shards3[y, x]
-            out[x][y] = ShardedValue(
-                shards=[shard], shape=shard.shape, padded_size=shard.size
-            )
-    return out
-
-
-def all_gather_grid(
-    shards: Sequence[Sequence[np.ndarray]],
-    shape: tuple[int, ...],
-    dtype_policy: str = "f32",
-) -> list[list[np.ndarray]]:
-    """Phase 4: all-gather along X then along Y, restoring full buffers.
-
-    ``shards[x][y]`` is device (x, y)'s final shard (X-chunk ``x`` of
-    Y-chunk ``y`` of the padded flat buffer); ``shape`` is the original
-    (unpadded) buffer shape.  Pure data movement: the full buffer is
-    assembled once and every device receives an independent copy.
-    """
-    _dtype_for(dtype_policy)
-    x_size = len(shards)
-    y_size = len(shards[0])
-    size = int(np.prod(shape)) if shape else 1
-    padded_y, y_chunk = padded_chunk_layout(y_size, size)
-    padded_x, x_chunk = padded_chunk_layout(x_size, y_chunk)
-    first = np.asarray(shards[0][0])
-    t0 = _perf()
-    with _telemetry.tracer.span("all_gather_grid", category="comm"):
-        # Assemble: X-gather concatenates x shards (strip to y_chunk), Y-gather
-        # concatenates the y chunks (strip to size).
-        assembled = np.empty((y_size, x_size, x_chunk), dtype=first.dtype)
-        for x in range(x_size):
-            for y in range(y_size):
-                assembled[y, x] = np.asarray(shards[x][y]).reshape(-1)
-        full = assembled.reshape(y_size, padded_x)[:, :y_chunk].reshape(-1)[:size]
-        n = x_size * y_size
-        stacked = np.empty((n, size), dtype=full.dtype)
-        stacked[:] = full
-    if _telemetry.enabled:
-        dt = _perf() - t0
-        m = _telemetry.metrics
-        itemsize = first.dtype.itemsize
-        m.counter("collective_bytes", op="all_gather", axis="x", policy=dtype_policy).inc(
-            x_size * (x_size - 1) * y_size * x_chunk * itemsize
-        )
-        m.counter("collective_bytes", op="all_gather", axis="y", policy=dtype_policy).inc(
-            y_size * (y_size - 1) * x_size * y_chunk * itemsize
-        )
-        m.counter("collective_ring_steps", op="all_gather", axis="xy").inc(
-            (x_size - 1) + (y_size - 1)
-        )
-        m.counter("collective_launches", op="all_gather", axis="xy").inc()
-        m.histogram("collective_seconds", op="all_gather", axis="xy").observe(dt)
-    out: list[list[np.ndarray]] = [[None] * y_size for _ in range(x_size)]  # type: ignore[list-item]
-    for x in range(x_size):
-        for y in range(y_size):
-            out[x][y] = stacked[x * y_size + y].reshape(shape)
-    return out
-
-
-def two_phase_all_reduce(
-    grid: Sequence[Sequence[np.ndarray]],
-    dtype_policy: str = "f32",
-    shard_transform: Callable[[np.ndarray], np.ndarray] | None = None,
-) -> list[list[np.ndarray]]:
-    """The full 2-D hierarchical all-reduce, optionally fusing a shard op.
-
-    ``shard_transform`` is applied to each device's reduced gradient shard
-    *between* the reduce-scatter and all-gather phases — this is exactly
-    where the paper's weight-update sharding computes the optimizer step, so
-    passing the update function here reproduces the fused schedule of
-    Section 3.3 (the transform must be elementwise/shape-preserving).
-    """
-    x_size, y_size = _grid_shape(grid)
-    shape = np.asarray(grid[0][0]).shape
-    with _telemetry.tracer.span("two_phase_all_reduce", category="comm"):
-        reduced = reduce_scatter_grid(grid, dtype_policy)
-        final_shards: list[list[np.ndarray]] = [[None] * y_size for _ in range(x_size)]  # type: ignore[list-item]
-        with _telemetry.tracer.span("shard_transform", category="update"):
-            for x in range(x_size):
-                for y in range(y_size):
-                    shard = reduced[x][y].shards[0]
-                    if shard_transform is not None:
-                        transformed = np.asarray(shard_transform(shard))
-                        if transformed.shape != shard.shape:
-                            raise ValueError("shard_transform must preserve shape")
-                        shard = transformed
-                    final_shards[x][y] = shard
-        out = all_gather_grid(final_shards, shape, dtype_policy)
-    if _telemetry.enabled:
-        _telemetry.metrics.counter(
-            "collective_launches", op="two_phase_all_reduce", axis="xy"
-        ).inc()
-    return out
-
-
 def two_phase_all_reduce_stacked(
     arrays,
     grid_shape: tuple[int, int],
     dtype_policy: str = "f32",
     shard_transform: Callable[[np.ndarray], np.ndarray] | None = None,
 ) -> StackedValue:
-    """Device-major 2-D hierarchical all-reduce with a replicated result.
+    """The full 2-D hierarchical all-reduce, optionally fusing a shard op.
 
     ``arrays`` is a device-major ``(x * y, *shape)`` block (or
     :class:`StackedValue`, or a flat per-device sequence) in x-major order;
-    ``grid_shape`` is the mesh extent.  Both ring phases run as batched
-    stacked kernels, ``shard_transform`` (elementwise/shape-preserving,
-    exactly as for :func:`two_phase_all_reduce`) is applied *once* to the
-    whole ``(y, x, x_chunk)`` shard block between the phases — elementwise
-    transforms make that bit-identical to the per-shard loop — and the
-    gather phase returns one replicated :class:`StackedValue` instead of
-    ``x * y`` materialized copies.
+    ``grid_shape`` is the mesh extent.  Phases: reduce-scatter along Y per
+    mesh column, reduce-scatter along X per row, ``shard_transform``, then
+    all-gathers along X and Y.  Both ring phases run as batched stacked
+    kernels.
+
+    ``shard_transform`` is applied to the reduced gradient shards *between*
+    the reduce-scatter and all-gather phases — exactly where the paper's
+    weight-update sharding computes the optimizer step, so passing the
+    update function here reproduces the fused schedule of Section 3.3.  It
+    must be elementwise and shape-preserving, and is applied *once* to the
+    whole ``(y, x, x_chunk)`` shard block, which for elementwise transforms
+    is bit-identical to a per-shard loop.  The gather phase returns one
+    replicated :class:`StackedValue` instead of ``x * y`` materialized
+    copies.
     """
     x_size, y_size = grid_shape
     if x_size < 1 or y_size < 1:
         raise ValueError("grid_shape dims must be >= 1")
-    block, flats, n, shape = _as_device_block(arrays)
+    block, n, shape = _as_device_block(arrays)
     if n != x_size * y_size:
         raise ValueError(
             f"{n} device buffers do not fill a {x_size}x{y_size} grid"
@@ -831,7 +576,7 @@ def two_phase_all_reduce_stacked(
     t0 = _perf()
     with _telemetry.tracer.span("two_phase_all_reduce", category="comm"):
         shards3, size, y_chunk, x_chunk = _reduce_scatter_grid_core(
-            flats, block, x_size, y_size, shape, dtype_policy
+            block, x_size, y_size, shape, dtype_policy
         )
         if shard_transform is not None:
             with _telemetry.tracer.span("shard_transform", category="update"):
@@ -872,6 +617,53 @@ def two_phase_all_reduce_stacked(
 
 
 # --- reference implementations (retained for bit-identity cross-checks) ----
+
+
+def _grid_shape(grid: Sequence[Sequence[np.ndarray]]) -> tuple[int, int]:
+    x = len(grid)
+    if x == 0:
+        raise ValueError("empty device grid")
+    y = len(grid[0])
+    for col in grid:
+        if len(col) != y:
+            raise ValueError("ragged device grid")
+    if y == 0:
+        raise ValueError("empty device grid column")
+    return x, y
+
+
+def _reference_linear_ring_passes(
+    acc: np.ndarray,
+    srcs,
+    size: int,
+    chunk: int,
+    bf16_round: Callable[[np.ndarray], np.ndarray] | None = None,
+) -> np.ndarray:
+    """One ring of :func:`_linear_ring_passes_batched`, one device at a time.
+
+    ``acc`` is the flat ``(padded,)`` accumulator and ``srcs[d]`` device
+    ``d``'s flat buffer in the wire format.  The scalar sweep is the oracle
+    that pins the batched kernel at scales where the per-device-loop
+    reference is too slow (4096 devices).
+    """
+    n = len(srcs)
+    for d in range(n):
+        lo = d * chunk
+        hi = min(lo + chunk, size)
+        if hi > lo:
+            acc[lo:hi] = srcs[d][lo:hi]
+        end = min(lo, size)
+        if end > 0:
+            np.add(srcs[d][:end], acc[:end], out=acc[:end])
+            if bf16_round is not None:
+                bf16_round(acc[:end])
+    for d in range(n - 1):
+        start = min((d + 1) * chunk, size)
+        if start < size:
+            np.add(srcs[d][start:size], acc[start:size], out=acc[start:size])
+            if bf16_round is not None:
+                bf16_round(acc[start:size])
+    return acc
 
 
 def _reference_chunked(

@@ -8,9 +8,11 @@ The trainers in :mod:`repro.core` use it as their execution substrate.
 Collectives are routed through :class:`repro.runtime.bucket.GradientBucket`:
 ``all_reduce`` accepts either one buffer name or a sequence of names, and a
 sequence is *fused* — all named buffers travel in a single collective, the
-way real trainers bucket their gradients.
+way real trainers bucket their gradients.  Healthy or degraded, every
+``all_reduce`` packs the participants' fused buffers into one device-major
+block and runs one stacked collective over it.
 
-Storage is hybrid (DESIGN.md §12): buffers placed with per-device ``put``
+Storage is hybrid (DESIGN.md §11): buffers placed with per-device ``put``
 live in per-device dicts, while ``put_stacked`` (and the results of a
 healthy ``all_reduce``) store one device-major
 :class:`~repro.runtime.stacked.StackedValue` per name — ``get`` serves
@@ -52,7 +54,7 @@ class VirtualMesh:
         self.x_size = x_size
         self.y_size = y_size
         self._buffers: dict[str, dict[tuple[int, int], np.ndarray]] = {}
-        #: Device-major storage: one StackedValue per name (DESIGN.md §12).
+        #: Device-major storage: one StackedValue per name (DESIGN.md §11).
         self._stacked: dict[str, StackedValue] = {}
         self._buckets: dict[tuple, GradientBucket] = {}
         self._dead: set[tuple[int, int]] = set()
@@ -242,13 +244,6 @@ class VirtualMesh:
         """Buffers of every device, in device order."""
         return [self.get(name, d) for d in self.devices()]
 
-    def grid(self, name: str) -> list[list[np.ndarray]]:
-        """Buffers as a [x][y] grid (for the 2-D collective)."""
-        return [
-            [self.get(name, (x, y)) for y in range(self.y_size)]
-            for x in range(self.x_size)
-        ]
-
     def has(self, name: str) -> bool:
         return name in self._buffers or name in self._stacked
 
@@ -318,8 +313,9 @@ class VirtualMesh:
         whole set, as bucketed gradient summation does).  ``hierarchical``
         selects the 2-D schedule (default when both mesh dims exceed 1).
         ``shard_transform`` is the fused sharded-update hook of
-        :func:`repro.runtime.collectives.two_phase_all_reduce`, applied to
-        fused flat shards, and is only valid with the hierarchical schedule.
+        :func:`repro.runtime.collectives.two_phase_all_reduce_stacked`,
+        applied to fused flat shards, and is only valid with the
+        hierarchical schedule.
 
         ``on_fault`` controls the semantics on a mesh with holes:
         ``"raise"`` (default) raises :class:`DeviceLostError` naming the
@@ -359,42 +355,33 @@ class VirtualMesh:
         participants = list(self.alive_devices())
         with _telemetry.tracer.span("mesh_all_reduce", category="comm"):
             bucket = self._bucket_for(names)
+            # Device-major path (DESIGN.md §11): gather the participants'
+            # fused buffers into one (n, bucket.size) block and run one
+            # stacked collective.
+            n = len(participants)
+            block = np.empty((n, bucket.size), dtype=bucket.dtype)
+            for i, d in enumerate(participants):
+                bucket.flatten({nm: self.get(nm, d) for nm in names}, out=block[i])
+            reduced = bucket.all_reduce_stacked(
+                block,
+                dtype_policy,
+                grid_shape=(self.x_size, self.y_size) if hierarchical else None,
+                shard_transform=shard_transform,
+            )
             if not degraded:
-                # Device-major fast path (DESIGN.md §12): gather the fused
-                # buffers of the full mesh into one (n, bucket.size) block,
-                # run the stacked collective, and store each name's result
-                # as a lazily replicated StackedValue — no per-device
-                # result copies and no dict churn.
-                n = len(participants)
-                block = np.empty((n, bucket.size), dtype=bucket.dtype)
-                for i, d in enumerate(participants):
-                    bucket.flatten(
-                        {nm: self.get(nm, d) for nm in names}, out=block[i]
-                    )
-                reduced = bucket.all_reduce_stacked(
-                    block,
-                    dtype_policy,
-                    grid_shape=(self.x_size, self.y_size)
-                    if hierarchical
-                    else None,
-                    shard_transform=shard_transform,
-                )
+                # Store each name's result as a lazily replicated
+                # StackedValue — no per-device result copies, no dict churn.
                 flat = reduced.block[0]
                 for nm in names:
                     part = flat[bucket.slice_of(nm)].reshape(bucket.shapes[nm])
                     self._buffers.pop(nm, None)
                     self._stacked[nm] = StackedValue.replicate(part, n)
             else:
-                trees = [
-                    {nm: self.get(nm, d) for nm in names} for d in participants
-                ]
-                reduced = bucket.all_reduce(
-                    trees,
-                    dtype_policy,
-                    grid_shape=None,
-                    shard_transform=shard_transform,
-                )
-                for tree, d in zip(reduced, participants):
+                # Survivors only: each one owns a distinct row of the
+                # materialized result; dead devices keep their stale buffers.
+                rows = reduced.materialized().block
+                for i, d in enumerate(participants):
+                    tree = bucket.unflatten(rows[i])
                     for nm in names:
                         self.put(nm, d, tree[nm])
         if _telemetry.enabled:

@@ -13,18 +13,20 @@ Two physical layouts share the type:
 * **distinct** (``replicated=False``) — ``block[d]`` is device ``d``'s
   buffer; rows are independent memory regions (views of one allocation);
 * **replicated** (``replicated=True``) — ``block`` has one physical row
-  logically shared by every device.  This is the natural result of an
-  all-gather/all-reduce: instead of materializing ``n`` identical copies
-  (the dominant cost of the old per-device path), every device's "buffer"
-  is a read-only view of the same memory.  Writers must materialize first
-  (:meth:`materialized`), which is what :class:`~repro.runtime.mesh.
-  VirtualMesh` does lazily on the first per-device write.
+  logically shared by every device.  This is what every all-gather and
+  all-reduce in :mod:`repro.runtime.collectives` returns: instead of
+  materializing ``n`` identical copies, every device's "buffer" is a
+  read-only view of the same memory.  Writers either copy the one view
+  they write into (``device_view(d).copy()``) or materialize the whole
+  value (:meth:`materialized`), which is what
+  :class:`~repro.runtime.mesh.VirtualMesh` does lazily on the first
+  per-device write.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -81,14 +83,6 @@ class StackedValue:
             view.flags.writeable = False
             return view
         return self.block[index]
-
-    def rows(self) -> Iterator[np.ndarray]:
-        """Per-device views in device order."""
-        return (self.device_view(d) for d in range(self.num_devices))
-
-    def to_list(self) -> list[np.ndarray]:
-        """Per-device views as a list (the legacy per-device interface)."""
-        return list(self.rows())
 
     def materialized(self) -> "StackedValue":
         """A value whose rows are independent writable memory regions.

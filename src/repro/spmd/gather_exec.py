@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.runtime.collectives import ring_all_reduce
+from repro.runtime.collectives import ring_all_reduce_stacked
 
 
 def onehot_matrix(ids: np.ndarray, num_rows: int) -> np.ndarray:
@@ -68,7 +68,7 @@ def sharded_onehot_gather(
         rows = np.flatnonzero(mask)
         local[rows, ids[rows] - lo] = 1.0
         partials.append(local @ shard)
-    return ring_all_reduce(partials, dtype_policy)[0]
+    return ring_all_reduce_stacked(partials, dtype_policy).device_view(0)
 
 
 def topk_direct(values: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:

@@ -57,7 +57,6 @@ class TestTrainerConfig:
             (dict(strategy="single", mesh_shape=(2, 1)), "1x1"),
             (dict(strategy="hybrid", overlap=True), "bucketed overlap"),
             (dict(strategy="single", num_buckets=2), "bucketed overlap"),
-            (dict(strategy="wus", fused=False, num_buckets=2), "unfused WUS"),
         ],
     )
     def test_validation(self, overrides, match):

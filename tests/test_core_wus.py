@@ -12,11 +12,12 @@ import pytest
 from repro.core.data_parallel import DataParallelTrainer, SingleDeviceTrainer
 from repro.core.weight_update_sharding import (
     WeightUpdateShardedTrainer,
-    shard_states,
-    sharded_update,
+    bucketed_sharded_update,
+    shard_state_segments,
 )
 from repro.models.mlp import MLP, synthetic_classification
 from repro.optim import Adam, LAMB, LARS, SGDMomentum
+from repro.runtime.bucket import GradientBucket
 
 OPTIMIZERS = [
     ("sgd", lambda: SGDMomentum(0.05)),
@@ -44,20 +45,9 @@ def _max_param_diff(p1, p2):
 
 
 class TestShardStates:
-    def test_shapes_and_roundtrip(self, rng):
-        opt = LAMB(0.01)
-        params = {"w": rng.standard_normal((5, 3)), "b": rng.standard_normal(7)}
-        state = opt.init_state(params)
-        sharded = shard_states(state, 4)
-        assert len(sharded) == 4
-        # every slot chunk has equal size (padded)
-        for d in range(4):
-            assert sharded[d]["w"]["m"].size == 4  # ceil(15/4)=4
-            assert sharded[d]["b"]["v"].size == 2  # ceil(7/4)=2
-
     def test_invalid_devices(self):
         with pytest.raises(ValueError):
-            shard_states({}, 0)
+            shard_state_segments({}, GradientBucket({"w": np.zeros(3)}), 0)
 
 
 class TestShardedUpdateEquivalence:
@@ -77,8 +67,11 @@ class TestShardedUpdateEquivalence:
         }
         state = opt.init_state(params)
         expected, _ = opt.update(dict(params), summed, state, 0)
-        sharded = shard_states(opt.init_state(params), n)
-        got, new_sharded = sharded_update(dict(params), grads, opt, sharded, 0)
+        bucket = GradientBucket(params, dtype=np.float64)
+        sharded = shard_state_segments(opt.init_state(params), bucket, n)
+        got, new_sharded = bucketed_sharded_update(
+            dict(params), grads, opt, sharded, 0, bucket
+        )
         assert _max_param_diff(expected, got) < 1e-10
         assert len(new_sharded) == n
 
@@ -136,44 +129,16 @@ class TestShardedUpdateEquivalence:
         )
         assert covered == w0
 
-    def test_state_stays_sharded_unfused(self):
-        model = MLP([12, 16, 4])
-        x, y = _data()
-        wus = WeightUpdateShardedTrainer(
-            model, LAMB(0.01), num_replicas=4, fused=False
-        )
-        wus.init(np.random.default_rng(7))
-        assert wus.state is None
-        wus.step(x, y)
-        assert len(wus.sharded_state) == 4
-        total = model.init_params(np.random.default_rng(7))["w0"].size
-        chunk = wus.sharded_state[0]["w0"]["m"].size
-        assert chunk == -(-total // 4)  # per-parameter ceil division
-
-    @pytest.mark.parametrize("name,make_opt", OPTIMIZERS)
-    def test_fused_matches_unfused(self, name, make_opt):
-        """Bucketed WUS == per-parameter WUS to machine precision."""
-        model = MLP([12, 16, 8, 4])
-        x, y = _data()
-        fused, fused_losses = _run(
-            WeightUpdateShardedTrainer(model, make_opt(), num_replicas=4), x, y
-        )
-        plain, plain_losses = _run(
-            WeightUpdateShardedTrainer(
-                model, make_opt(), num_replicas=4, fused=False
-            ),
-            x, y,
-        )
-        assert _max_param_diff(fused.params, plain.params) < 1e-10
-        assert fused_losses == pytest.approx(plain_losses, rel=1e-10)
-
     def test_mismatched_state_length(self, rng):
         opt = SGDMomentum(0.1)
         params = {"w": rng.standard_normal(8)}
         grads = [{"w": rng.standard_normal(8)} for _ in range(2)]
+        bucket = GradientBucket(params, dtype=np.float64)
+        states = shard_state_segments(opt.init_state(params), bucket, 3)
         with pytest.raises(ValueError):
-            sharded_update(params, grads, opt, shard_states(opt.init_state(params), 3), 0)
+            bucketed_sharded_update(params, grads, opt, states, 0, bucket)
 
     def test_no_devices_rejected(self):
+        bucket = GradientBucket({"w": np.zeros(8)}, dtype=np.float64)
         with pytest.raises(ValueError):
-            sharded_update({}, [], SGDMomentum(0.1), [], 0)
+            bucketed_sharded_update({}, [], SGDMomentum(0.1), [], 0, bucket)

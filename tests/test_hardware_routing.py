@@ -73,13 +73,22 @@ class TestRoutingTable:
             t.next_hop(Coordinate(1, 1))
 
 
+def _assert_first_hops(mesh, tables):
+    """Every installed next hop is the first step of the X-then-Y path."""
+    for src, table in tables.items():
+        for dst, hop in table.entries.items():
+            assert hop == dimension_ordered_path(mesh, src, dst)[1]
+
+
 class TestDenseRouting:
     def test_small_mesh_fits(self, small_mesh):
         tables = build_dense_routing(small_mesh)
         assert len(tables[Coordinate(0, 0)]) == 15
+        _assert_first_hops(small_mesh, tables)
 
     def test_dense_routes_resolve_everywhere(self, small_torus):
         tables = build_dense_routing(small_torus)
+        _assert_first_hops(small_torus, tables)
         for dst in small_torus.chips():
             if dst == Coordinate(0, 0):
                 continue
@@ -113,6 +122,7 @@ class TestSparseRouting:
 
     def test_row_column_routes_resolve(self, small_torus):
         tables = build_sparse_row_col_routing(small_torus)
+        _assert_first_hops(small_torus, tables)
         path = resolve_route(tables, Coordinate(0, 0), Coordinate(3, 0))
         assert path[-1] == Coordinate(3, 0)
         path = resolve_route(tables, Coordinate(0, 0), Coordinate(0, 2))

@@ -14,13 +14,20 @@ from repro.comm.cost import reduce_scatter_time
 from repro.comm.schedule import simulate_ring_reduce_scatter
 from repro.core.planner import PLANNER_RULES, plan_parallelism
 from repro.core.step_time import StepTimeModel
-from repro.core.weight_update_sharding import shard_states, sharded_update
+from repro.core.weight_update_sharding import (
+    bucketed_sharded_update,
+    shard_state_segments,
+)
 from repro.experiments.calibration import spec_for
 from repro.hardware.rings import y_ring
 from repro.hardware.routing import dimension_ordered_path
 from repro.hardware.topology import Coordinate, TorusMesh
 from repro.optim import LAMB
-from repro.runtime.collectives import ring_reduce_scatter, two_phase_all_reduce
+from repro.runtime.bucket import GradientBucket
+from repro.runtime.collectives import (
+    ring_reduce_scatter,
+    two_phase_all_reduce_stacked,
+)
 
 mesh_dims = st.integers(min_value=1, max_value=8)
 payloads = st.floats(min_value=0.0, max_value=1e9, allow_nan=False)
@@ -116,8 +123,10 @@ class TestRuntimeProperties:
         grads = [{"w": rng.standard_normal(size) / n} for _ in range(n)]
         summed = {"w": np.sum([g["w"] for g in grads], axis=0)}
         expected, _ = opt.update(dict(params), summed, opt.init_state(params), 0)
-        got, _ = sharded_update(
-            dict(params), grads, opt, shard_states(opt.init_state(params), n), 0
+        bucket = GradientBucket(params, dtype=np.float64)
+        got, _ = bucketed_sharded_update(
+            dict(params), grads, opt,
+            shard_state_segments(opt.init_state(params), bucket, n), 0, bucket,
         )
         assert np.allclose(got["w"], expected["w"], rtol=1e-9, atol=1e-12)
 
@@ -165,9 +174,9 @@ class TestGridCollectiveProperties:
     def test_two_phase_functional_matches_sum(self, x, y, size, seed, policy):
         rng = np.random.default_rng(seed)
         grid = [[rng.standard_normal(size) for _ in range(y)] for _ in range(x)]
-        out = two_phase_all_reduce(grid, policy)
+        block = np.stack([g for col in grid for g in col])
+        out = two_phase_all_reduce_stacked(block, (x, y), policy)
         truth = np.sum([g for col in grid for g in col], axis=0)
         tol = 1e-10 if policy == "f64" else 1e-4
-        for col in out:
-            for o in col:
-                assert np.allclose(o, truth, rtol=tol, atol=tol)
+        for d in range(x * y):
+            assert np.allclose(out.device_view(d), truth, rtol=tol, atol=tol)

@@ -43,7 +43,6 @@ def _trainer(kind: str, n: int, seed: int = 7):
     else:
         t = WeightUpdateShardedTrainer(
             MLP(LAYERS), LAMB(learning_rate=0.01), num_replicas=n,
-            fused=(kind == "wus_fused"),
         )
     t.init(np.random.default_rng(seed))
     return t
@@ -256,7 +255,7 @@ class TestDegradedSchedules:
 
 
 class TestCheckpointRoundTrip:
-    @pytest.mark.parametrize("kind", ["dp", "wus_fused", "wus_unfused"])
+    @pytest.mark.parametrize("kind", ["dp", "wus_fused"])
     def test_interrupt_restore_resume_is_bit_identical(self, kind):
         uninterrupted = _trainer(kind, 4)
         for step in range(8):
@@ -280,7 +279,7 @@ class TestCheckpointRoundTrip:
         assert _params_equal(ckpt.params, before)
 
     def test_npz_round_trip(self, tmp_path):
-        trainer = _trainer("wus_unfused", 3)
+        trainer = _trainer("wus_fused", 3)
         trainer.step(*_batch(0))
         ckpt = trainer.save_checkpoint()
         path = str(tmp_path / "ckpt.npz")
@@ -342,20 +341,18 @@ class TestCheckpointProperties:
 
     @given(
         replicas=st.sampled_from([1, 2, 3, 4, 6]),
-        fused=st.booleans(),
         interrupt=st.integers(0, 3),
     )
     @settings(max_examples=10, deadline=None)
-    def test_wus_any_replica_count(self, replicas, fused, interrupt):
-        kind = "wus_fused" if fused else "wus_unfused"
+    def test_wus_any_replica_count(self, replicas, interrupt):
         steps = 5
-        uninterrupted = _trainer(kind, replicas)
+        uninterrupted = _trainer("wus_fused", replicas)
         for step in range(steps):
             uninterrupted.step(*_batch(step))
-        source = _trainer(kind, replicas)
+        source = _trainer("wus_fused", replicas)
         for step in range(interrupt):
             source.step(*_batch(step))
-        resumed = _trainer(kind, replicas, seed=11)
+        resumed = _trainer("wus_fused", replicas, seed=11)
         resumed.restore_checkpoint(source.save_checkpoint())
         for step in range(interrupt, steps):
             resumed.step(*_batch(step))
@@ -364,10 +361,9 @@ class TestCheckpointProperties:
     @given(
         n_from=st.sampled_from([2, 3, 4]),
         n_to=st.sampled_from([1, 2, 3, 4, 6]),
-        fused=st.booleans(),
     )
     @settings(max_examples=10, deadline=None)
-    def test_wus_reshards_across_replica_counts(self, n_from, n_to, fused):
+    def test_wus_reshards_across_replica_counts(self, n_from, n_to):
         """A WUS snapshot restores onto any replica count.
 
         Exact bit-identity only holds within one collective layout, so the
@@ -378,7 +374,6 @@ class TestCheckpointProperties:
         def wus_trainer(n, seed=7):
             t = WeightUpdateShardedTrainer(
                 MLP(LAYERS), Adam(learning_rate=0.01), num_replicas=n,
-                fused=fused,
             )
             t.init(np.random.default_rng(seed))
             return t

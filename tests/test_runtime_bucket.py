@@ -4,7 +4,14 @@ import numpy as np
 import pytest
 
 from repro.runtime.bucket import BucketSegment, GradientBucket
-from repro.runtime.collectives import ring_all_reduce
+from repro.runtime.collectives import ring_all_reduce_stacked
+
+
+def _all_reduce(bucket, trees, dtype_policy="f32", **kwargs):
+    """Flatten per-device trees, run one stacked collective, unflatten."""
+    block = np.stack([bucket.flatten(t) for t in trees])
+    out = bucket.all_reduce_stacked(block, dtype_policy, **kwargs)
+    return [bucket.unflatten(out.device_view(d)) for d in range(out.num_devices)]
 
 
 def _tree(rng, dtype=np.float64):
@@ -108,18 +115,20 @@ class TestFusedAllReduce:
         n = 4
         trees = [_tree(rng) for _ in range(n)]
         bucket = GradientBucket(trees[0])
-        fused = bucket.all_reduce(trees, "f64")
+        fused = _all_reduce(bucket, trees, "f64")
         assert len(fused) == n
         for name in trees[0]:
-            separate = ring_all_reduce([t[name] for t in trees], "f64")
+            separate = ring_all_reduce_stacked([t[name] for t in trees], "f64")
             for d in range(n):
                 assert fused[d][name].shape == trees[0][name].shape
-                assert np.allclose(fused[d][name], separate[d], rtol=1e-12)
+                assert np.allclose(
+                    fused[d][name], separate.device_view(d), rtol=1e-12
+                )
 
     def test_hierarchical_grid(self, rng):
         trees = [_tree(rng) for _ in range(6)]
         bucket = GradientBucket(trees[0])
-        fused = bucket.all_reduce(trees, "f64", grid_shape=(2, 3))
+        fused = _all_reduce(bucket, trees, "f64", grid_shape=(2, 3))
         truth = {
             name: np.sum([t[name] for t in trees], axis=0) for name in trees[0]
         }
@@ -130,13 +139,13 @@ class TestFusedAllReduce:
     def test_grid_shape_mismatch(self, rng):
         trees = [_tree(rng) for _ in range(4)]
         with pytest.raises(ValueError):
-            GradientBucket(trees[0]).all_reduce(trees, grid_shape=(3, 2))
+            _all_reduce(GradientBucket(trees[0]), trees, grid_shape=(3, 2))
 
     def test_shard_transform_requires_hierarchical(self, rng):
         trees = [_tree(rng) for _ in range(4)]
         with pytest.raises(ValueError):
-            GradientBucket(trees[0]).all_reduce(
-                trees, shard_transform=lambda s: s
+            _all_reduce(
+                GradientBucket(trees[0]), trees, shard_transform=lambda s: s
             )
 
     def test_scalar_entry(self, rng):
@@ -145,7 +154,7 @@ class TestFusedAllReduce:
             for i in range(3)
         ]
         bucket = GradientBucket(trees[0])
-        fused = bucket.all_reduce(trees, "f64")
+        fused = _all_reduce(bucket, trees, "f64")
         assert fused[0]["s"].shape == ()
         assert float(fused[0]["s"]) == pytest.approx(6.0)
         assert np.allclose(fused[0]["v"], np.full(3, 6.0))

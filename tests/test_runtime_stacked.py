@@ -9,7 +9,7 @@ bounded-LRU behavior of the scratch/layout/schedule caches.
 
 The full 4096-device run against ``_reference_*`` takes minutes (the
 reference is O(n^2) Python steps), so tier-1 pins 4096 devices against the
-scalar vectorized kernel (itself reference-pinned here and in
+scalar sweep ``_reference_linear_ring_passes`` (itself reference-pinned in
 ``test_runtime_vectorized.py``) and the reference cross-check at that scale
 runs only with ``REPRO_SLOW_TESTS=1``.
 """
@@ -30,13 +30,13 @@ from repro.runtime.collectives import (
     _reference_two_phase_all_reduce,
     padded_chunk_layout,
     ring_all_gather_stacked,
-    ring_all_reduce,
     ring_all_reduce_stacked,
     ring_reduce_scatter,
     two_phase_all_reduce_stacked,
 )
 from repro.runtime.mesh import VirtualMesh
 from repro.runtime.stacked import StackedValue
+from tests.test_runtime_vectorized import scalar_kernel_shards
 
 POLICIES = ["f32", "bf16", "f64"]
 
@@ -222,19 +222,21 @@ class TestStackedBitIdentity:
         """A real 4096-device full-mesh all-reduce in tier-1 time.
 
         The per-device-loop reference at this scale is O(n^2) Python steps
-        (minutes), so tier-1 cross-checks the stacked path against the
-        scalar vectorized kernel — itself bit-pinned to the reference by
-        the hypothesis tests above and in ``test_runtime_vectorized.py`` —
-        and the direct reference run is gated behind ``REPRO_SLOW_TESTS``.
+        (minutes), so tier-1 cross-checks the batched kernel against the
+        scalar sweep ``_reference_linear_ring_passes`` — itself bit-pinned
+        to the reference by ``test_ring_reduce_scatter_bit_identical`` in
+        ``test_runtime_vectorized.py`` — and the direct reference run is
+        gated behind ``REPRO_SLOW_TESTS``.
         """
         n, size = 4096, 64
         rng = np.random.default_rng(7)
         block = (rng.standard_normal((n, size)) * 256.0).astype(np.float32)
         got = ring_all_reduce_stacked(block, policy)
         assert got.num_devices == n
-        want = ring_all_reduce([block[d] for d in range(n)], policy)
+        want = scalar_kernel_shards([block[d] for d in range(n)], policy)
+        want = want.reshape(-1)[:size]
         for d in (0, 1, 2047, 4095):
-            _assert_bit_identical(got.device_view(d), want[d])
+            _assert_bit_identical(got.device_view(d), want)
         # 64x64 grid over the same stack executes too.
         grid_result = two_phase_all_reduce_stacked(block, (64, 64), policy)
         assert grid_result.device_view(0).shape == (size,)

@@ -17,14 +17,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.runtime.collectives import (
+    _dtype_for,
+    _prepare,
+    _reference_linear_ring_passes,
     _reference_ring_all_gather,
     _reference_ring_all_reduce,
     _reference_ring_reduce_scatter,
     _reference_two_phase_all_reduce,
-    ring_all_gather,
-    ring_all_reduce,
+    _round_checked,
+    padded_chunk_layout,
+    ring_all_gather_stacked,
+    ring_all_reduce_stacked,
     ring_reduce_scatter,
-    two_phase_all_reduce,
+    two_phase_all_reduce_stacked,
 )
 
 POLICIES = ["f32", "bf16", "f64"]
@@ -51,6 +56,23 @@ def _inputs(n: int, size: int, seed: int) -> list[np.ndarray]:
     return arrays
 
 
+def scalar_kernel_shards(arrays, policy: str) -> np.ndarray:
+    """``(n, chunk)`` reduce-scatter shards from the scalar ring sweep.
+
+    Runs :func:`_reference_linear_ring_passes` — one device at a time, the
+    NaN-checked bf16 rounding on every hop — over the per-device inputs in
+    the policy's wire format.
+    """
+    n = len(arrays)
+    srcs = [_prepare(policy, np.asarray(a).reshape(-1)) for a in arrays]
+    size = srcs[0].size
+    padded, chunk = padded_chunk_layout(n, size)
+    acc = np.zeros(padded, dtype=_dtype_for(policy))
+    bf16_round = _round_checked if policy == "bf16" else None
+    _reference_linear_ring_passes(acc, srcs, size, chunk, bf16_round)
+    return acc.reshape(n, chunk)
+
+
 @given(
     n=st.integers(min_value=1, max_value=16),
     size=st.integers(min_value=1, max_value=200),
@@ -66,6 +88,9 @@ def test_ring_reduce_scatter_bit_identical(n, size, policy, seed):
     assert got.shape == want.shape
     for g, w in zip(got.shards, want.shards):
         _assert_bit_identical(g, w)
+    # The scalar sweep is the 4096-device oracle: pin it to the reference.
+    for s, w in zip(scalar_kernel_shards(arrays, policy), want.shards):
+        _assert_bit_identical(s, w)
 
 
 @given(
@@ -77,11 +102,11 @@ def test_ring_reduce_scatter_bit_identical(n, size, policy, seed):
 @settings(max_examples=100, deadline=None)
 def test_ring_all_reduce_bit_identical(n, size, policy, seed):
     arrays = _inputs(n, size, seed)
-    got = ring_all_reduce(arrays, policy)
+    got = ring_all_reduce_stacked(arrays, policy)
     want = _reference_ring_all_reduce(arrays, policy)
-    assert len(got) == len(want) == n
-    for g, w in zip(got, want):
-        _assert_bit_identical(g, w)
+    assert got.num_devices == len(want) == n
+    for d, w in enumerate(want):
+        _assert_bit_identical(got.device_view(d), w)
 
 
 @given(
@@ -93,10 +118,10 @@ def test_ring_all_reduce_bit_identical(n, size, policy, seed):
 @settings(max_examples=60, deadline=None)
 def test_ring_all_gather_bit_identical(n, size, policy, seed):
     sv = ring_reduce_scatter(_inputs(n, size, seed), policy)
-    got = ring_all_gather(sv)
+    got = ring_all_gather_stacked(sv)
     want = _reference_ring_all_gather(sv)
-    for g, w in zip(got, want):
-        _assert_bit_identical(g, w)
+    for d, w in enumerate(want):
+        _assert_bit_identical(got.device_view(d), w)
 
 
 @given(
@@ -110,11 +135,11 @@ def test_ring_all_gather_bit_identical(n, size, policy, seed):
 def test_two_phase_bit_identical(x, y, size, policy, seed):
     flat = _inputs(x * y, size, seed)
     grid = [[flat[i * y + j] for j in range(y)] for i in range(x)]
-    got = two_phase_all_reduce(grid, policy)
+    got = two_phase_all_reduce_stacked(np.stack(flat), (x, y), policy)
     want = _reference_two_phase_all_reduce(grid, policy)
-    for gcol, wcol in zip(got, want):
-        for g, w in zip(gcol, wcol):
-            _assert_bit_identical(g, w)
+    for i, wcol in enumerate(want):
+        for j, w in enumerate(wcol):
+            _assert_bit_identical(got.device_view(i * y + j), w)
 
 
 def test_two_phase_shard_transform_bit_identical():
@@ -124,14 +149,17 @@ def test_two_phase_shard_transform_bit_identical():
         for _ in range(2)
     ]
     transform = lambda s: s * np.float32(0.5)  # noqa: E731
+    block = np.stack([g for col in grid for g in col])
     for policy in POLICIES:
-        got = two_phase_all_reduce(grid, policy, shard_transform=transform)
+        got = two_phase_all_reduce_stacked(
+            block, (2, 3), policy, shard_transform=transform
+        )
         want = _reference_two_phase_all_reduce(
             grid, policy, shard_transform=transform
         )
-        for gcol, wcol in zip(got, want):
-            for g, w in zip(gcol, wcol):
-                _assert_bit_identical(g, w)
+        for i, wcol in enumerate(want):
+            for j, w in enumerate(wcol):
+                _assert_bit_identical(got.device_view(i * 3 + j), w)
 
 
 @pytest.mark.parametrize("policy", POLICIES)
@@ -151,16 +179,15 @@ def test_special_values_bit_identical(policy, n):
         arrays.append(a)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
-        got = ring_all_reduce(arrays, policy)
+        got = ring_all_reduce_stacked(arrays, policy)
         want = _reference_ring_all_reduce(arrays, policy)
-        for g, w in zip(got, want):
-            _assert_bit_identical(g, w)
+        for d, w in enumerate(want):
+            _assert_bit_identical(got.device_view(d), w)
         grid = [[arrays[i] for i in range(n)]]
-        got2 = two_phase_all_reduce(grid, policy)
+        got2 = two_phase_all_reduce_stacked(np.stack(arrays), (1, n), policy)
         want2 = _reference_two_phase_all_reduce(grid, policy)
-        for gcol, wcol in zip(got2, want2):
-            for g, w in zip(gcol, wcol):
-                _assert_bit_identical(g, w)
+        for j, w in enumerate(want2[0]):
+            _assert_bit_identical(got2.device_view(j), w)
 
 
 def test_grid_opposite_infinity_columns_bit_identical():
@@ -172,11 +199,12 @@ def test_grid_opposite_infinity_columns_bit_identical():
         [np.full(8, big, dtype=np.float32), np.full(8, big, dtype=np.float32)],
         [np.full(8, -big, dtype=np.float32), np.full(8, -big, dtype=np.float32)],
     ]
+    block = np.stack([g for col in grid for g in col])
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
         for policy in POLICIES:
-            got = two_phase_all_reduce(grid, policy)
+            got = two_phase_all_reduce_stacked(block, (2, 2), policy)
             want = _reference_two_phase_all_reduce(grid, policy)
-            for gcol, wcol in zip(got, want):
-                for g, w in zip(gcol, wcol):
-                    _assert_bit_identical(g, w)
+            for i, wcol in enumerate(want):
+                for j, w in enumerate(wcol):
+                    _assert_bit_identical(got.device_view(i * 2 + j), w)

@@ -395,9 +395,9 @@ class TestInstrumentedRuntime:
         )
 
     def test_padding_cache_collector(self):
-        from repro.runtime.collectives import ring_all_reduce
+        from repro.runtime.collectives import ring_all_reduce_stacked
 
-        ring_all_reduce([np.ones(10), np.ones(10)])
+        ring_all_reduce_stacked([np.ones(10), np.ones(10)])
         snap = telemetry.metrics.snapshot()
         assert "padding_layout_cache_size" in snap
         assert snap["padding_layout_cache_size"]["values"][0]["value"] >= 1

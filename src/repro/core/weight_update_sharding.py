@@ -29,7 +29,7 @@ from time import perf_counter as _perf
 import numpy as np
 
 from repro import telemetry as _telemetry
-from repro.core.trainer import StepResult, _warn_direct_construction
+from repro.core.trainer import StepResult
 from repro.optim.base import Optimizer, OptimizerState, Params
 from repro.resilience.checkpoint import (
     TrainerCheckpoint,
@@ -195,7 +195,6 @@ class WeightUpdateShardedTrainer(DataParallelTrainer):
             grad_dtype_policy=grad_dtype_policy,
             num_buckets=num_buckets, overlap=overlap,
         )
-        _warn_direct_construction(self, WeightUpdateShardedTrainer)
         self.sharded_state: list[OptimizerState] | None = None
         self._bucket_states: list[list[OptimizerState]] | None = None
 
@@ -209,9 +208,6 @@ class WeightUpdateShardedTrainer(DataParallelTrainer):
         """(Re)shard the replicated slots along the bucketed fused layout."""
         assert self.params is not None
         self._plan = BucketPlan(self.params, self.num_buckets, dtype=np.float64)
-        self._bucket = (
-            self._plan.buckets[0] if self._plan.num_buckets == 1 else None
-        )
         self._bucket_states = [
             shard_state_segments(full_state, bucket, self.num_replicas)
             for bucket in self._plan.buckets

@@ -14,8 +14,6 @@ import enum
 from dataclasses import dataclass
 from typing import Iterator, NamedTuple
 
-import networkx as nx
-
 from repro.hardware.chip import ChipSpec, HostSpec, TPU_V3, TPU_V3_HOST
 
 POD_SIDE = 32
@@ -228,20 +226,6 @@ class TorusMesh:
         return self.chip.link_bandwidth
 
     # --- analysis helpers ----------------------------------------------------
-
-    def to_networkx(self) -> nx.DiGraph:
-        """Directed graph of chips and links, for analysis and tests."""
-        g = nx.DiGraph()
-        g.add_nodes_from(self.chips())
-        for link in self.links():
-            g.add_edge(
-                link.src,
-                link.dst,
-                kind=link.kind,
-                latency=self.link_latency(link),
-                bandwidth=self.link_bandwidth,
-            )
-        return g
 
     def bisection_bandwidth(self) -> float:
         """One-direction bandwidth across the X midline cut, bytes/s.

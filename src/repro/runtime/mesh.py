@@ -3,23 +3,22 @@
 :class:`VirtualMesh` is the functional twin of the hardware topology: a
 logical ``x_size x y_size`` grid of devices, each with named buffers, plus
 convenience methods that run the runtime collectives over a named buffer.
-The trainers in :mod:`repro.core` use it as their execution substrate.
+It backs fault injection (``fail_device`` / ``restore_device``), the
+bit-exact plan execution of :mod:`repro.spmd.graph_exec` and the telemetry
+demo; the trainers in :mod:`repro.core` run their collectives directly on
+:class:`~repro.runtime.bucket.BucketPlan` blocks instead.
 
 Collectives are routed through :class:`repro.runtime.bucket.GradientBucket`:
 ``all_reduce`` accepts either one buffer name or a sequence of names, and a
 sequence is *fused* — all named buffers travel in a single collective, the
-way real trainers bucket their gradients.  Healthy or degraded, every
-``all_reduce`` packs the participants' fused buffers into one device-major
-block and runs one stacked collective over it.
+way real trainers bucket their gradients.  Every ``all_reduce`` packs the
+surviving participants' fused buffers into one device-major block, runs one
+stacked collective over it, and writes each participant its own row of the
+result.
 
-Storage is hybrid (DESIGN.md §11): buffers placed with per-device ``put``
-live in per-device dicts, while ``put_stacked`` (and the results of a
-healthy ``all_reduce``) store one device-major
-:class:`~repro.runtime.stacked.StackedValue` per name — ``get`` serves
-zero-copy per-device views of it, and any per-device *write* (``put``,
-``apply_inplace``, ``restore_device``) first *demotes* the stacked value
-back to per-device rows so fault injection, degraded rings, and checkpoint
-assembly see exactly the legacy semantics.
+Storage is one per-device dict per name (DESIGN.md §11): ``get`` returns
+the stored array itself, a dead device keeps its buffers but cannot be
+read, and ``restore_device`` drops the restored device's stale buffers.
 """
 
 from __future__ import annotations
@@ -32,7 +31,6 @@ import numpy as np
 from repro import telemetry as _telemetry
 from repro.resilience.faults import DeviceLostError
 from repro.runtime.bucket import GradientBucket
-from repro.runtime.stacked import StackedValue
 
 logger = logging.getLogger("repro.runtime")
 
@@ -54,8 +52,6 @@ class VirtualMesh:
         self.x_size = x_size
         self.y_size = y_size
         self._buffers: dict[str, dict[tuple[int, int], np.ndarray]] = {}
-        #: Device-major storage: one StackedValue per name (DESIGN.md §11).
-        self._stacked: dict[str, StackedValue] = {}
         self._buckets: dict[tuple, GradientBucket] = {}
         self._dead: set[tuple[int, int]] = set()
 
@@ -111,7 +107,6 @@ class VirtualMesh:
 
         Its pre-failure buffers are dropped — a repaired device re-joins
         empty and must be re-populated (normally from a checkpoint).
-        Stacked values are demoted first so the drop can be per-device.
         """
         self._check_device(device, require_alive=False)
         if device not in self._dead:
@@ -121,31 +116,11 @@ class VirtualMesh:
             "fault", "mesh_device_restored",
             device=list(device), alive=self.num_alive,
         )
-        for name in list(self._stacked):
-            self._demote(name)
         for per_device in self._buffers.values():
             per_device.pop(device, None)
         logger.info("mesh %dx%d: device %s restored", self.x_size, self.y_size, device)
 
     # --- buffer management ---------------------------------------------------
-
-    def _device_index(self, device: tuple[int, int]) -> int:
-        """Position of a device in x-major (stacked row) order."""
-        return device[0] * self.y_size + device[1]
-
-    def _demote(self, name: str) -> None:
-        """Turn stacked storage back into per-device dict rows.
-
-        Replicated values pay their deferred broadcast copy here; distinct
-        values just hand out their row views.  Rows are stored for *every*
-        device (dead ones included) — matching ``fail_device``'s "buffers
-        are not freed" semantics, so a later ``restore_device`` can drop
-        exactly the restored device's stale row.
-        """
-        value = self._stacked.pop(name).materialized()
-        slot = self._buffers.setdefault(name, {})
-        for i, d in enumerate(self.devices()):
-            slot[d] = value.block[i]
 
     def put(self, name: str, device: tuple[int, int], array: np.ndarray) -> None:
         """Place a buffer on one device.
@@ -153,38 +128,13 @@ class VirtualMesh:
         ``array`` is coerced to a base-class ``np.ndarray`` (``np.asarray``
         copies only when it must), so ``ndarray`` subclasses store their
         plain view rather than leaking subclass behavior into collectives.
-        A per-device write to a stacked name demotes it first.
         """
         self._check_device(device)
-        if name in self._stacked:
-            self._demote(name)
         array = np.asarray(array)
         self._buffers.setdefault(name, {})[device] = array
         if _telemetry.enabled:
             _telemetry.metrics.counter("mesh_put_bytes", device=device).inc(
                 array.nbytes
-            )
-
-    def put_stacked(self, name: str, value: StackedValue | np.ndarray) -> None:
-        """Place a device-major value covering the whole mesh at once.
-
-        ``value`` is a :class:`StackedValue` (or a ``(num_devices,
-        *shape)`` ndarray) whose rows are the per-device buffers in
-        x-major order.  One dict entry replaces ``num_devices`` per-device
-        puts; ``get`` serves zero-copy row views of it.
-        """
-        if not isinstance(value, StackedValue):
-            value = StackedValue(np.asarray(value), self.num_devices)
-        if value.num_devices != self.num_devices:
-            raise ValueError(
-                f"stacked value covers {value.num_devices} devices; "
-                f"mesh has {self.num_devices}"
-            )
-        self._buffers.pop(name, None)
-        self._stacked[name] = value
-        if _telemetry.enabled:
-            _telemetry.metrics.counter("mesh_put_bytes", device="stacked").inc(
-                value.block.nbytes
             )
 
     def put_replicated(self, name: str, array: np.ndarray) -> None:
@@ -208,44 +158,22 @@ class VirtualMesh:
 
     def get(self, name: str, device: tuple[int, int]) -> np.ndarray:
         self._check_device(device)
-        stacked = self._stacked.get(name)
-        if stacked is not None:
-            buf = stacked.device_view(self._device_index(device))
-        else:
-            try:
-                buf = self._buffers[name][device]
-            except KeyError:
-                raise KeyError(
-                    f"buffer {name!r} not present on device {device}"
-                ) from None
+        try:
+            buf = self._buffers[name][device]
+        except KeyError:
+            raise KeyError(f"buffer {name!r} not present on device {device}") from None
         if _telemetry.enabled:
             _telemetry.metrics.counter("mesh_get_bytes", device=device).inc(
                 buf.nbytes
             )
         return buf
 
-    def get_stacked(self, name: str) -> StackedValue:
-        """The named value, device-major.
-
-        Zero-copy when the name is stored stacked; otherwise the
-        per-device buffers are packed into a fresh block (every device
-        must hold the buffer and be alive).
-        """
-        value = self._stacked.get(name)
-        if value is not None:
-            if _telemetry.enabled:
-                _telemetry.metrics.counter("mesh_get_bytes", device="stacked").inc(
-                    value.block.nbytes
-                )
-            return value
-        return StackedValue.stack([self.get(name, d) for d in self.devices()])
-
     def get_all(self, name: str) -> list[np.ndarray]:
         """Buffers of every device, in device order."""
         return [self.get(name, d) for d in self.devices()]
 
     def has(self, name: str) -> bool:
-        return name in self._buffers or name in self._stacked
+        return name in self._buffers
 
     def apply(self, name: str, fn: Callable[[np.ndarray], np.ndarray]) -> None:
         """Apply a function to the named buffer on every surviving device."""
@@ -257,11 +185,7 @@ class VirtualMesh:
 
         ``fn`` must update its argument in place (its return value is
         ignored); no copies are made and no dict entries are rewritten.
-        Stacked names are demoted first: replicated rows alias one memory
-        region, and a per-device mutation needs per-device ownership.
         """
-        if name in self._stacked:
-            self._demote(name)
         try:
             per_device = self._buffers[name]
         except KeyError:
@@ -368,22 +292,14 @@ class VirtualMesh:
                 grid_shape=(self.x_size, self.y_size) if hierarchical else None,
                 shard_transform=shard_transform,
             )
-            if not degraded:
-                # Store each name's result as a lazily replicated
-                # StackedValue — no per-device result copies, no dict churn.
-                flat = reduced.block[0]
-                for nm in names:
-                    part = flat[bucket.slice_of(nm)].reshape(bucket.shapes[nm])
-                    self._buffers.pop(nm, None)
-                    self._stacked[nm] = StackedValue.replicate(part, n)
-            else:
-                # Survivors only: each one owns a distinct row of the
-                # materialized result; dead devices keep their stale buffers.
-                rows = reduced.materialized().block
-                for i, d in enumerate(participants):
-                    tree = bucket.unflatten(rows[i])
-                    for nm in names:
-                        self.put(nm, d, tree[nm])
+            # Each participant owns a distinct row of the materialized
+            # result; dead devices keep their stale buffers.
+            rows = reduced.materialized().block
+            slots = [self._buffers[nm] for nm in names]
+            for i, d in enumerate(participants):
+                tree = bucket.unflatten(rows[i])
+                for nm, slot in zip(names, slots):
+                    slot[d] = tree[nm]
         if _telemetry.enabled:
             _telemetry.metrics.counter(
                 "mesh_allreduce_launches",
@@ -395,5 +311,5 @@ class VirtualMesh:
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
             f"VirtualMesh({self.x_size}x{self.y_size}, "
-            f"buffers={sorted(set(self._buffers) | set(self._stacked))})"
+            f"buffers={sorted(self._buffers)})"
         )

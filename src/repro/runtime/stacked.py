@@ -3,8 +3,9 @@
 A :class:`StackedValue` stores one named mesh value for *all* devices as a
 single ``(num_devices, *shape)`` ndarray — the device axis comes first, so
 a collective over the whole fleet is one vectorized numpy operation instead
-of ``num_devices`` per-device dispatches.  This is the storage layout that
-lets the real-numpy runtime execute 4096-device collectives: Mesh-TF and
+of ``num_devices`` per-device dispatches.  This is the layout every
+collective consumes and returns, and it is what lets the real-numpy runtime
+execute 4096-device collectives: Mesh-TF and
 GSPMD get their scale from exactly this one-op-over-all-devices (SPMD)
 execution model.
 
@@ -19,8 +20,8 @@ Two physical layouts share the type:
   read-only view of the same memory.  Writers either copy the one view
   they write into (``device_view(d).copy()``) or materialize the whole
   value (:meth:`materialized`), which is what
-  :class:`~repro.runtime.mesh.VirtualMesh` does lazily on the first
-  per-device write.
+  :class:`~repro.runtime.mesh.VirtualMesh` does before writing an
+  all-reduce result into its per-device buffers.
 """
 
 from __future__ import annotations

@@ -35,13 +35,12 @@ Supported API::
     plan = make_partitioner("v07").partition(graph, spec)   # PartitionPlan
     result = search_partitioning(graph, SearchConfig(num_shards=4))
 
-The legacy free functions (``replicated``/``split``/``partial``,
-``partition``, ``estimate_cost``) keep working but emit a
-``DeprecationWarning`` when called outside the facade.
+:func:`make_partitioner` is the only partition entry point the package
+exports; layouts are built with the :class:`Sharding` classmethods.
 """
 
 from repro.spmd.ir import Graph, Node, ShapeError
-from repro.spmd.annotations import Sharding, replicated, split, partial
+from repro.spmd.annotations import Sharding
 from repro.spmd.plan import (
     FEATURE_SETS,
     Partitioner,
@@ -53,11 +52,10 @@ from repro.spmd.partitioner import (
     PartitionerFeatures,
     PartitionedGraph,
     CommOp,
-    partition,
     V06_FEATURES,
     V07_FEATURES,
 )
-from repro.spmd.estimator import PartitionCost, estimate_cost, model_parallel_speedup
+from repro.spmd.estimator import PartitionCost, model_parallel_speedup
 from repro.spmd.search import (
     SearchConfig,
     SearchResult,
@@ -100,7 +98,7 @@ __all__ = [
     "ShapeError",
     # layouts
     "Sharding",
-    # supported facade (PR 5 trainer pattern)
+    # partitioner facade
     "ShardingSpec",
     "make_partitioner",
     "Partitioner",
@@ -142,10 +140,4 @@ __all__ = [
     "halo_exchange",
     "spatial_conv2d",
     "spatial_conv_stack",
-    # deprecated entry points (warn outside the facade)
-    "replicated",
-    "split",
-    "partial",
-    "partition",
-    "estimate_cost",
 ]

@@ -175,21 +175,19 @@ def _split_array(arr: np.ndarray, k: int, dim: int) -> list[np.ndarray]:
 class _Exec:
     """Sharded execution state: values + the mesh doing the collectives."""
 
-    def __init__(self, graph: Graph, k: int, mesh: VirtualMesh | None) -> None:
+    def __init__(self, graph: Graph, k: int) -> None:
         self.graph = graph
         self.k = k
-        self.mesh = mesh if mesh is not None else VirtualMesh(k, 1)
-        if self.mesh.num_devices != k:
-            raise ValueError(
-                f"mesh has {self.mesh.num_devices} devices, plan wants {k}"
-            )
+        self.mesh = VirtualMesh(k, 1)
         self.vals: dict[int, _Val] = {}
-        self._n_reduces = 0
 
     def all_reduce(self, parts: list[np.ndarray]) -> np.ndarray:
-        """Sum ``parts`` with a real mesh collective (f64 policy = exact)."""
-        name = f"graph_exec_ar_{self._n_reduces}"
-        self._n_reduces += 1
+        """Sum ``parts`` with a real mesh collective (f64 policy = exact).
+
+        Every reduction reuses one buffer name, so each call's partials
+        replace the previous call's instead of piling up on the mesh.
+        """
+        name = "graph_exec_ar"
         shape = np.asarray(parts[0]).shape
         for device, p in zip(self.mesh.devices(), parts):
             # 0-d payloads (reduce outputs) go through as 1-element vectors;
@@ -237,7 +235,6 @@ def execute_plan(
     plan: PartitionPlan,
     inputs: dict[int, np.ndarray] | None = None,
     seed: int = 0,
-    mesh: VirtualMesh | None = None,
 ) -> dict[int, np.ndarray]:
     """Execute ``plan`` sharded over ``plan.num_shards`` virtual cores.
 
@@ -252,7 +249,7 @@ def execute_plan(
         inputs = make_inputs(graph, seed)
     if k == 1:
         return execute_reference(graph, inputs, seed)
-    ex = _Exec(graph, k, mesh)
+    ex = _Exec(graph, k)
     features = plan.partitioned.features
     seeds = plan.spec.resolve(graph)
 
@@ -483,9 +480,7 @@ class ValidationResult:
         )
 
 
-def validate_plan(
-    plan: PartitionPlan, seed: int = 0, mesh: VirtualMesh | None = None
-) -> ValidationResult:
+def validate_plan(plan: PartitionPlan, seed: int = 0) -> ValidationResult:
     """Compare sharded plan execution against the replicated reference.
 
     Every node's materialized value must match bit-for-bit
@@ -493,7 +488,7 @@ def validate_plan(
     """
     inputs = make_inputs(plan.graph, seed)
     ref = execute_reference(plan.graph, inputs, seed)
-    got = execute_plan(plan, inputs, seed, mesh)
+    got = execute_plan(plan, inputs, seed)
     bad = tuple(
         plan.graph.node(nid).name
         for nid in sorted(ref)

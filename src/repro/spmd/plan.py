@@ -11,9 +11,9 @@ Mirrors the ``TrainerConfig``/``make_trainer``/``StepResult`` pattern of
   assignments, the inserted :class:`~repro.spmd.partitioner.CommOp`\\ s and
   the :class:`~repro.spmd.estimator.PartitionCost`.
 
-The legacy free functions (``replicated``/``split``/``partial``,
-``partition``, ``estimate_cost``) keep working but warn unless reached
-through this facade.
+:func:`make_partitioner` is the package's only partition entry point; the
+module functions :func:`repro.spmd.partitioner.partition` and
+:func:`repro.spmd.estimator.estimate_cost` are the two halves it composes.
 """
 
 from __future__ import annotations
@@ -21,8 +21,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.hardware.topology import TorusMesh
-from repro.spmd.annotations import Sharding, _facade
-from repro.spmd.estimator import PartitionCost, _estimate_cost_impl
+from repro.spmd.annotations import Sharding
+from repro.spmd.estimator import PartitionCost, estimate_cost
 from repro.spmd.ir import Graph
 from repro.spmd.partitioner import (
     CommOp,
@@ -30,7 +30,7 @@ from repro.spmd.partitioner import (
     PartitionerFeatures,
     V06_FEATURES,
     V07_FEATURES,
-    _partition_impl,
+    partition,
 )
 
 #: feature-set names accepted by :func:`make_partitioner`.
@@ -171,12 +171,9 @@ class Partitioner:
 
     def partition(self, graph: Graph, spec: ShardingSpec) -> PartitionPlan:
         """Propagate ``spec`` through ``graph`` and cost the result."""
-        with _facade():
-            seeds = spec.resolve(graph)
-            pg = _partition_impl(graph, seeds, spec.num_shards, self.features)
-            cost = _estimate_cost_impl(
-                pg, self.mesh, mxu_efficiency=self.mxu_efficiency
-            )
+        seeds = spec.resolve(graph)
+        pg = partition(graph, seeds, spec.num_shards, self.features)
+        cost = estimate_cost(pg, self.mesh, mxu_efficiency=self.mxu_efficiency)
         return PartitionPlan(graph=graph, spec=spec, partitioned=pg, cost=cost)
 
 

@@ -2,7 +2,11 @@
 
 import numpy as np
 import pytest
+from hypothesis import settings
+from hypothesis import strategies as st
+from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
 
+from repro.resilience.faults import DeviceLostError
 from repro.runtime.mesh import VirtualMesh
 
 
@@ -145,3 +149,123 @@ class TestMeshCollectives:
         assert len(first) == 1
         m.all_reduce("g", "f64")
         assert m._buckets is first and len(first) == 1
+
+
+# --- stateful guard: VirtualMesh against a dict-of-arrays model -------------
+
+_DEVICES = [(0, 0), (0, 1), (1, 0), (1, 1)]
+_SHAPES = {"a": (3,), "b": (2, 2)}
+
+
+def _payload(name):
+    """Integer-valued f64 arrays: every summation order is exact."""
+    size = int(np.prod(_SHAPES[name]))
+    return st.lists(
+        st.integers(-1000, 1000), min_size=size, max_size=size
+    ).map(lambda v: np.array(v, dtype=np.float64).reshape(_SHAPES[name]))
+
+
+_names = st.sampled_from(sorted(_SHAPES))
+_named_payload = _names.flatmap(lambda nm: st.tuples(st.just(nm), _payload(nm)))
+
+
+class MeshStateMachine(RuleBasedStateMachine):
+    """Random put / replicate / fail / restore / mutate / all-reduce runs.
+
+    The model is ``{name: {device: array}}`` plus the dead set.  A dead
+    device keeps its model entries (its buffers are unreachable, not
+    freed) until ``restore_device`` drops them.
+    """
+
+    def __init__(self):
+        super().__init__()
+        self.mesh = VirtualMesh(2, 2)
+        self.model: dict[str, dict[tuple[int, int], np.ndarray]] = {}
+        self.dead: set[tuple[int, int]] = set()
+
+    def _alive(self):
+        return [d for d in _DEVICES if d not in self.dead]
+
+    @rule(device=st.sampled_from(_DEVICES), item=_named_payload)
+    def put(self, device, item):
+        name, value = item
+        if device in self.dead:
+            with pytest.raises(DeviceLostError):
+                self.mesh.put(name, device, value.copy())
+            return
+        self.mesh.put(name, device, value.copy())
+        self.model.setdefault(name, {})[device] = value
+
+    @rule(item=_named_payload)
+    def put_replicated(self, item):
+        name, value = item
+        self.mesh.put_replicated(name, value)
+        slot = self.model.setdefault(name, {})
+        for d in self._alive():
+            slot[d] = value.copy()
+
+    @rule(device=st.sampled_from(_DEVICES))
+    def fail_device(self, device):
+        self.mesh.fail_device(device)
+        self.dead.add(device)
+
+    @rule(device=st.sampled_from(_DEVICES))
+    def restore_device(self, device):
+        self.mesh.restore_device(device)
+        if device in self.dead:
+            self.dead.discard(device)
+            for slot in self.model.values():
+                slot.pop(device, None)
+
+    @rule(name=_names, delta=st.integers(-5, 5))
+    def apply_inplace(self, name, delta):
+        def bump(buf):
+            buf += delta
+
+        if name not in self.model:
+            with pytest.raises(KeyError):
+                self.mesh.apply_inplace(name, bump)
+            return
+        self.mesh.apply_inplace(name, bump)
+        for d, arr in self.model[name].items():
+            if d not in self.dead:
+                self.model[name][d] = arr + delta
+
+    @rule(name=_names, on_fault=st.sampled_from(["raise", "heal"]))
+    def all_reduce(self, name, on_fault):
+        alive = self._alive()
+        if (self.dead and on_fault == "raise") or not alive:
+            with pytest.raises(DeviceLostError):
+                self.mesh.all_reduce(name, "f64", on_fault=on_fault)
+            return
+        slot = self.model.get(name, {})
+        if any(d not in slot for d in alive):
+            with pytest.raises(KeyError):
+                self.mesh.all_reduce(name, "f64", on_fault=on_fault)
+            return
+        self.mesh.all_reduce(name, "f64", on_fault=on_fault)
+        total = sum(slot[d] for d in alive)
+        for d in alive:
+            slot[d] = total.copy()
+
+    @invariant()
+    def matches_model(self):
+        assert self.mesh.dead_devices == frozenset(self.dead)
+        for name in _SHAPES:
+            assert self.mesh.has(name) == (name in self.model)
+            slot = self.model.get(name, {})
+            for d in _DEVICES:
+                if d in self.dead:
+                    with pytest.raises(DeviceLostError):
+                        self.mesh.get(name, d)
+                elif d in slot:
+                    np.testing.assert_array_equal(self.mesh.get(name, d), slot[d])
+                else:
+                    with pytest.raises(KeyError):
+                        self.mesh.get(name, d)
+
+
+MeshStateMachine.TestCase.settings = settings(
+    max_examples=100, stateful_step_count=25, deadline=None
+)
+TestMeshStateMachine = MeshStateMachine.TestCase

@@ -257,33 +257,6 @@ class TestStackedBitIdentity:
 
 
 class TestMeshStacked:
-    def test_put_get_stacked_round_trip(self):
-        m = VirtualMesh(2, 2)
-        block = np.arange(8.0, dtype=np.float32).reshape(4, 2)
-        m.put_stacked("w", block)
-        assert m.has("w")
-        for x in range(2):
-            for y in range(2):
-                _assert_bit_identical(m.get("w", (x, y)), block[x * 2 + y])
-        stacked = m.get_stacked("w")
-        assert stacked.block is block
-
-    def test_get_stacked_packs_dict_buffers(self):
-        m = VirtualMesh(2, 1)
-        m.put("w", (0, 0), np.array([1.0, 2.0]))
-        m.put("w", (1, 0), np.array([3.0, 4.0]))
-        v = m.get_stacked("w")
-        assert v.block.shape == (2, 2)
-        _assert_bit_identical(v.device_view(1), np.array([3.0, 4.0]))
-
-    def test_per_device_write_demotes(self):
-        m = VirtualMesh(2, 1)
-        m.put_stacked("w", np.ones((2, 3), dtype=np.float32))
-        m.put("w", (0, 0), np.zeros(3, dtype=np.float32))
-        # Device 1 keeps its pre-demotion value; device 0 sees the write.
-        assert m.get("w", (0, 0))[0] == 0.0
-        assert m.get("w", (1, 0))[0] == 1.0
-
     def test_all_reduce_result_is_replicated_and_correct(self):
         m = VirtualMesh(2, 2)
         for i, d in enumerate(m.devices()):
@@ -292,8 +265,6 @@ class TestMeshStacked:
         expect = np.full(6, 0.0 + 1.0 + 2.0 + 3.0, dtype=np.float32)
         for d in m.devices():
             np.testing.assert_allclose(m.get("g", d), expect)
-        # Result rows share one physical buffer, lazily viewed.
-        assert m.get_stacked("g").replicated
 
     def test_apply_inplace_after_all_reduce(self):
         m = VirtualMesh(2, 1)
@@ -304,12 +275,21 @@ class TestMeshStacked:
         def bump(buf):
             buf += 1.0
 
-        m.apply_inplace("g", bump)  # demotes the replicated result first
+        m.apply_inplace("g", bump)
         for d in m.devices():
             np.testing.assert_allclose(m.get("g", d), np.full(4, 3.0))
         # Devices now own distinct memory again.
         m.get("g", (0, 0))[0] = 99.0
         assert m.get("g", (1, 0))[0] == 3.0
+
+    def test_put_replicated_after_all_reduce(self):
+        """A later write replaces the all-reduce result on every device."""
+        m = VirtualMesh(2, 2)
+        m.put_replicated("g", np.ones(3))
+        m.all_reduce("g", dtype_policy="f64")
+        m.put_replicated("g", np.full(3, 7.0))
+        for d in m.devices():
+            np.testing.assert_array_equal(m.get("g", d), np.full(3, 7.0))
 
     def test_all_reduce_matches_reference_bitwise(self):
         for policy in POLICIES:
